@@ -1,4 +1,4 @@
-// Ablation study of the framework's design choices (DESIGN.md §6):
+// Ablation study of the framework's design choices:
 //
 //  (a) sparse candidate store vs dense matrix iteration — what the hashing /
 //      candidate machinery costs (or saves) when θ filtering is off and on;

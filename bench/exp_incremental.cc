@@ -1,4 +1,4 @@
-// Incremental maintenance vs full recomputation (DESIGN.md §6 extension):
+// Incremental maintenance vs full recomputation (a dynamic-graph extension):
 // after one edge edit, how much work does the localized repair of
 // core/incremental.h do, compared to re-running Algorithm 1 from scratch?
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -47,8 +48,15 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
         "incremental maintenance requires the full θ-candidate set "
         "(upper-bound pruning decisions depend on the edges being edited)");
   }
-  if (options.propagation_tolerance <= 0.0) {
-    return Status::InvalidArgument("propagation_tolerance must be positive");
+  const double tau = options.propagation_tolerance;
+  if (!std::isfinite(tau) || tau < 0.0) {
+    return Status::InvalidArgument(
+        "propagation_tolerance must be finite and >= 0 (0 derives it from "
+        "epsilon)");
+  }
+  if (tau == 0.0) {
+    const double w = config.w_out + config.w_in;
+    options.propagation_tolerance = config.epsilon * w / (10.0 * (1.0 + w));
   }
 
   IncrementalFSim inc(g1, g2, std::move(config), options);
@@ -844,6 +852,13 @@ Status IncrementalFSim::InsertEdge(int graph_index, NodeId from, NodeId to) {
 
 Status IncrementalFSim::RemoveEdge(int graph_index, NodeId from, NodeId to) {
   return ApplyEdit(graph_index, from, to, /*insert=*/false);
+}
+
+double IncrementalFSim::error_bound() const {
+  if (!converged_) return std::numeric_limits<double>::infinity();
+  const double w = config_.w_out + config_.w_in;
+  return (config_.epsilon * w + options_.propagation_tolerance * (1.0 + w)) /
+         (1.0 - w);
 }
 
 FSimScores IncrementalFSim::Snapshot() const {

@@ -63,10 +63,13 @@ namespace fsim {
 
 /// Tuning knobs for the incremental engine.
 struct IncrementalOptions {
-  /// Score changes smaller than this are absorbed instead of propagated.
-  /// The maintained scores stay within tau * (1 + w) / (1 - w) of the exact
-  /// fixpoint (w = w+ + w-).
-  double propagation_tolerance = 1e-9;
+  /// Score changes smaller than this (τ) are absorbed instead of
+  /// propagated; propagation adds at most τ * (1 + w) / (1 - w) to the
+  /// solve's own ε * w / (1 - w) error (w = w+ + w-). 0 derives τ from the
+  /// solve's epsilon as ε * w / (10 * (1 + w)), so propagation spends a
+  /// tenth of the solve's error budget; a positive value overrides.
+  /// Negative and non-finite values are rejected.
+  double propagation_tolerance = 0.0;
 
   /// Safety valve: an edit that recomputes more pair-updates than this is
   /// truncated and returns Internal (possible only in pathological
@@ -99,9 +102,12 @@ class IncrementalFSim {
   /// fixpoint (synchronous Jacobi sweeps, as ComputeFSim), and retains the
   /// state needed for localized repair.
   ///
-  /// `config.epsilon` controls the initial solve; the maintained accuracy
-  /// after edits is governed by `options.propagation_tolerance`, so choose
-  /// epsilon of comparable magnitude for consistent answers.
+  /// Precision is one contract, reported by error_bound(): the initial
+  /// solve stops within ε * w / (1 - w) of the fixpoint (Corollary 1), and
+  /// every edit repair adds at most τ * (1 + w) / (1 - w). With the default
+  /// options τ is derived from `config.epsilon` (see IncrementalOptions), so
+  /// the served bound is 1.1x the solve's own and an edit re-evaluates only
+  /// the pairs whose change matters at that precision.
   ///
   /// `warm_seed` (optional) primes the solve with previously converged
   /// scores — the crash-recovery path (serve/recovery.h) passes the scores
@@ -157,6 +163,16 @@ class IncrementalFSim {
   /// False once any propagation was truncated (see EditStats::truncated) or
   /// the initial solve stopped above epsilon.
   bool converged() const { return converged_; }
+
+  /// The effective propagation tolerance τ (derived or overridden).
+  double propagation_tolerance() const {
+    return options_.propagation_tolerance;
+  }
+
+  /// Upper bound on ||maintained scores - exact fixpoint||∞:
+  /// ε * w / (1 - w) + τ * (1 + w) / (1 - w), or +∞ once converged() is
+  /// false (no bound holds after a truncated repair).
+  double error_bound() const;
 
   /// True while the maintained pair-graph CSR neighbor index is active
   /// (false: over budget at Create; evaluation uses hash lookups).

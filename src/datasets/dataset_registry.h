@@ -2,8 +2,10 @@
 // datasets (Table 4). The real datasets (KONECT/SNAP/AMiner downloads) are
 // not available offline, so each analog reproduces the dataset's statistical
 // shape — label multiplicity, average degree, heavy-tailed in/out-degree —
-// scaled down to this machine (see DESIGN.md "Substitutions"). Experiments
-// depend on these shape parameters, not on the concrete edges.
+// scaled down so each experiment runs on one machine; every DatasetSpec
+// keeps the published Table 4 counts beside the scaled generation
+// parameters. Experiments depend on these shape parameters, not on the
+// concrete edges.
 #ifndef FSIM_DATASETS_DATASET_REGISTRY_H_
 #define FSIM_DATASETS_DATASET_REGISTRY_H_
 

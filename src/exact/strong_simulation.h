@@ -37,8 +37,9 @@ struct StrongSimOptions {
   /// Fraction of query nodes that must be matched inside the ball for it to
   /// qualify. 1.0 is Ma et al.'s original criterion ("R contains all nodes
   /// in Q"); lower values allow partial matches — the reproduction's
-  /// noise-tolerant relaxation used when exact matches cannot exist (see
-  /// DESIGN.md).
+  /// noise-tolerant relaxation used when exact matches cannot exist
+  /// (bench/exp_table6.cc falls back to 0.6 when the exact criterion finds
+  /// no match in a noisy data graph).
   double min_coverage = 1.0;
   /// Evenly subsample the candidate centers down to this many (0 = all).
   /// Bounds the cost of partial-coverage runs, whose label-based center

@@ -59,6 +59,8 @@ std::string LabelBlock(const MetricKey& key, std::string_view extra_key = {},
 }
 
 std::string FormatDouble(double value) {
+  // The exposition format spells infinite samples +Inf and -Inf.
+  if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;

@@ -1,6 +1,7 @@
 #include "serve/refresh.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -184,6 +185,15 @@ RefreshDriver::RefreshDriver(Graph g1, Graph g2, FSimConfig config,
         if (t == 0) return 0.0;
         return static_cast<double>(obs::MonotonicNanos() - t) * 1e-9;
       });
+  registry.RegisterCallbackGauge(
+      "fsim_served_error_bound",
+      "Max abs error of the published scores vs the exact fixpoint "
+      "(+Inf: unknown or not converged)",
+      this, [this] {
+        const SnapshotPtr snapshot = store_->Acquire();
+        return snapshot ? snapshot->meta().error_bound
+                        : std::numeric_limits<double>::infinity();
+      });
 }
 
 RefreshDriver::~RefreshDriver() {
@@ -191,6 +201,7 @@ RefreshDriver::~RefreshDriver() {
   obs::Registry& registry = obs::Registry::Default();
   registry.UnregisterCallbackGauge("fsim_refresh_queue_depth", this);
   registry.UnregisterCallbackGauge("fsim_publish_age_seconds", this);
+  registry.UnregisterCallbackGauge("fsim_served_error_bound", this);
   registry.UnregisterCallbackGauge("fsim_wal_pending", this);
 }
 
@@ -402,6 +413,7 @@ void RefreshDriver::PublishLocked() {
   meta.version = store_->NextVersion();
   meta.edits_applied = stats_.edits_applied;
   meta.converged = inc_->converged();
+  meta.error_bound = inc_->error_bound();
   FSimScores scores = inc_->Snapshot();
   meta.build_seconds = timer.Seconds();  // + the cache build, in the ctor
   auto snapshot = std::make_shared<const FSimSnapshot>(

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -329,7 +330,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         "applied=%llu coalesced=%llu failed=%llu shed=%llu replayed=%llu "
         "publishes=%llu persists=%llu wal_durable=%llu wal_applied=%llu "
         "wal_pending=%llu stale_edits=%llu stale_s=%llu publish_age_s=%llu "
-        "ready=%s converged=%s warm=%s simd=%s\n",
+        "ready=%s converged=%s bound=%.3g warm=%s simd=%s\n",
         static_cast<unsigned long long>(store_.version()),
         snapshot ? snapshot->scores().NumPairs() : 0,
         driver_->pending_edits(), driver_->policy().queue_capacity,
@@ -351,6 +352,8 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
                                             : stats.publish_age_seconds),
         driver_->ready() ? "yes" : "no",
         snapshot && snapshot->meta().converged ? "yes" : "no",
+        snapshot ? snapshot->meta().error_bound
+                 : std::numeric_limits<double>::infinity(),
         snapshot && snapshot->meta().warm_start ? "yes" : "no",
         // Resolving here also refreshes the fsim_simd_level gauge for
         // METRICS readers that never ran a dense solve.

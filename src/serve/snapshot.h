@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -33,6 +34,10 @@ struct SnapshotMeta {
   /// Whether the producing engine reports full convergence (see
   /// IncrementalFSim::converged()).
   bool converged = true;
+  /// Upper bound on |served score - exact fixpoint| for every pair (see
+  /// IncrementalFSim::error_bound()); +∞ when no bound is known (not
+  /// converged, or warm-started from disk).
+  double error_bound = std::numeric_limits<double>::infinity();
   /// True when the scores were warm-started from disk (scores_io) rather
   /// than computed in-process.
   bool warm_start = false;

@@ -7,6 +7,7 @@
 // full recomputation and against its own hash-lookup fallback).
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <tuple>
 
@@ -16,6 +17,7 @@
 #include "core/incremental.h"
 #include "core/incremental_index.h"
 #include "core/pair_store.h"
+#include "datasets/dataset_registry.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edits.h"
 #include "gtest/gtest.h"
@@ -456,13 +458,121 @@ TEST(Incremental, RejectsUpperBoundConfig) {
   EXPECT_TRUE(inc.status().IsInvalidArgument());
 }
 
-TEST(Incremental, RejectsNonPositiveTolerance) {
+TEST(Incremental, RejectsNegativeOrNonFiniteTolerance) {
   auto pair = MakeRandomPair(25);
+  for (double tau : {-1e-6, -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(tau);
+    IncrementalOptions options;
+    options.propagation_tolerance = tau;
+    auto inc =
+        IncrementalFSim::Create(pair.g1, pair.g2, FSimConfig{}, options);
+    ASSERT_FALSE(inc.ok());
+    EXPECT_TRUE(inc.status().IsInvalidArgument());
+  }
+}
+
+TEST(Incremental, ZeroToleranceDerivesFromEpsilon) {
+  // τ = ε·w / (10·(1+w)), so the served bound ε·w/(1−w) + τ·(1+w)/(1−w)
+  // is 1.1x the solve's own Corollary 1 bound.
+  struct Case {
+    double epsilon, w_out, w_in, tau, bound;
+  };
+  auto pair = MakeRandomPair(25);
+  for (const Case& c : {Case{0.01, 0.4, 0.4, 0.01 * 0.8 / 18.0, 0.044},
+                        Case{1e-4, 0.3, 0.2, 1e-4 * 0.5 / 15.0, 1.1e-4}}) {
+    SCOPED_TRACE(c.epsilon);
+    FSimConfig config;
+    config.epsilon = c.epsilon;
+    config.w_out = c.w_out;
+    config.w_in = c.w_in;
+    auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    ASSERT_TRUE(inc->converged());
+    EXPECT_NEAR(inc->propagation_tolerance(), c.tau, 1e-15);
+    EXPECT_NEAR(inc->error_bound(), c.bound, 1e-12);
+  }
+
+  // A positive value overrides the derivation; a solve stopped above ε
+  // voids the bound.
+  FSimConfig config;
   IncrementalOptions options;
-  options.propagation_tolerance = 0.0;
-  auto inc = IncrementalFSim::Create(pair.g1, pair.g2, FSimConfig{}, options);
-  ASSERT_FALSE(inc.ok());
-  EXPECT_TRUE(inc.status().IsInvalidArgument());
+  options.propagation_tolerance = 1e-6;
+  auto explicit_tau =
+      IncrementalFSim::Create(pair.g1, pair.g2, config, options);
+  ASSERT_TRUE(explicit_tau.ok());
+  EXPECT_EQ(explicit_tau->propagation_tolerance(), 1e-6);
+  config.epsilon = 1e-12;
+  config.max_iterations = 1;
+  auto capped = IncrementalFSim::Create(pair.g1, pair.g2, config);
+  ASSERT_TRUE(capped.ok());
+  ASSERT_FALSE(capped->converged());
+  EXPECT_EQ(capped->error_bound(), std::numeric_limits<double>::infinity());
+}
+
+TEST(Incremental, DefaultOptionsMeetErrorBoundOnYeast) {
+  // The served precision contract end to end: on the yeast analog with the
+  // paper defaults and library-default options, a mixed edit stream never
+  // truncates a repair and every state stays within error_bound() of a
+  // tight recompute, at one thread and at four.
+  const Graph yeast = MakeDatasetByName("yeast");
+  FSimConfig config;
+  config.variant = SimVariant::kBijective;
+  config.label_sim = LabelSimKind::kJaroWinkler;
+  config.theta = 1.0;
+  std::vector<IncrementalFSim> engines;
+  for (int threads : {1, 4}) {
+    config.num_threads = threads;
+    auto inc = IncrementalFSim::Create(yeast, yeast, config);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+    engines.push_back(std::move(inc).ValueOrDie());
+  }
+  // The reference runs to the Corollary 1 cap for ε = 1e-12 (124 sweeps):
+  // under greedy matching the Jacobi sweeps on this graph settle into a
+  // period-2 orbit of amplitude ~3e-4 rather than reaching ε, so more
+  // sweeps buy nothing.
+  FSimConfig reference_config = config;
+  reference_config.epsilon = 1e-12;
+
+  Rng rng(2026);
+  const NodeId n = static_cast<NodeId>(yeast.NumNodes());
+  for (int e = 0; e < 24; ++e) {
+    // Alternate inserts of absent edges with removals of present ones, so
+    // every edit takes effect.
+    const DynamicGraph& g = engines[0].g1();
+    const bool insert = e % 2 == 0;
+    NodeId from = 0, to = 0;
+    do {
+      from = static_cast<NodeId>(rng.Next() % n);
+      to = insert ? static_cast<NodeId>(rng.Next() % n)
+           : g.OutDegree(from) > 0
+               ? g.OutNeighbors(from)[rng.Next() % g.OutDegree(from)]
+               : from;
+    } while (from == to || g.HasEdge(from, to) == insert);
+    for (IncrementalFSim& inc : engines) {
+      const Status status =
+          insert ? inc.InsertEdge(1, from, to) : inc.RemoveEdge(1, from, to);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_FALSE(inc.last_edit_stats().truncated) << "edit " << e;
+      ASSERT_TRUE(inc.converged()) << "edit " << e;
+    }
+    auto reference = ComputeFSim(engines[0].MaterializeG1(),
+                                 engines[0].MaterializeG2(), reference_config);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    for (const IncrementalFSim& inc : engines) {
+      ASSERT_EQ(inc.NumPairs(), reference->keys().size());
+      double max_diff = 0.0;
+      for (uint64_t key : reference->keys()) {
+        const NodeId u = PairFirst(key);
+        const NodeId v = PairSecond(key);
+        max_diff = std::max(
+            max_diff, std::abs(reference->Score(u, v) - inc.Score(u, v)));
+      }
+      EXPECT_LE(max_diff, inc.error_bound())
+          << "edit " << e << " threads " << inc.config().num_threads;
+    }
+  }
 }
 
 TEST(Incremental, IllegalEditLeavesStateUntouched) {

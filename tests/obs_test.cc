@@ -12,6 +12,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,6 +215,16 @@ TEST(RegistryTest, CallbackGaugeOwnership) {
   // ...but the current owner can.
   registry.UnregisterCallbackGauge("fsim_depth", &owner_b);
   EXPECT_EQ(registry.RenderPrometheus().find("fsim_depth"),
+            std::string::npos);
+}
+
+TEST(RegistryTest, InfiniteGaugeUsesExpositionSpelling) {
+  Registry registry;
+  int owner = 0;
+  registry.RegisterCallbackGauge("fsim_bound", "help", &owner, [] {
+    return std::numeric_limits<double>::infinity();
+  });
+  EXPECT_NE(registry.RenderPrometheus().find("fsim_bound +Inf\n"),
             std::string::npos);
 }
 

@@ -422,7 +422,7 @@ TEST(ServeLoopTest, GoldenTranscript) {
       "STATS version=2 pairs=25 pending=0 capacity=0 applied=1 coalesced=0 "
       "failed=0 shed=0 replayed=0 publishes=2 persists=0 wal_durable=0 "
       "wal_applied=0 wal_pending=0 stale_edits=0 stale_s=0 publish_age_s=0 "
-      "ready=yes converged=yes warm=no simd=off\n"
+      "ready=yes converged=yes bound=4.4e-06 warm=no simd=off\n"
       "BYE\n";
   unsetenv("FSIM_SIMD");
   EXPECT_EQ(out.str(), kExpected);
@@ -498,6 +498,7 @@ TEST(ServeLoopTest, MetricsAndStatsFull) {
   EXPECT_TRUE(contains("fsim_serve_query_seconds_count{verb=\"TOPK\"}"));
   EXPECT_TRUE(contains("# TYPE fsim_refresh_queue_depth gauge"));
   EXPECT_TRUE(contains("# TYPE fsim_publish_age_seconds gauge"));
+  EXPECT_TRUE(contains("fsim_served_error_bound 4.4e-06"));
 }
 
 TEST(ServeLoopTest, WarmStartServesBeforeRefreshReady) {
