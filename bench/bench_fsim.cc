@@ -16,8 +16,6 @@
 #include "bench/bench_util.h"
 #include "core/dense_engine.h"
 #include "core/fsim_engine.h"
-#include "core/simd/cpu_features.h"
-#include "core/simd/dispatch.h"
 #include "datasets/dataset_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -183,114 +181,6 @@ std::string RunTuningSweep(int num_threads) {
               bench::FormatSeconds(dense_s[0]).c_str(), num_threads,
               bench::FormatSeconds(dense_s[1]).c_str());
   out += "  }";
-  return out;
-}
-
-/// Scalar-vs-vectorized dense iterate per max-family variant (s and b),
-/// t=1 and t=N, rendered as the raw "simd" JSON section. Every timing is
-/// the min over kSimdReps runs (the CI container's run-to-run variance
-/// swamps single-shot numbers), every vector run is cross-checked
-/// bit-identical against the forced-scalar run, and "host_level" records
-/// what FSIM_SIMD=auto resolves to on the runner. Levels the host or the
-/// build lacks are simply absent from the section; the history gate's
-/// rolling medians then track `<level>_t<N>_s` as ordinary
-/// lower-is-better series while `speedup_*` leaves stay informational.
-std::string RunSimdSweep(int num_threads) {
-  const Graph& g = Yeast();
-  constexpr int kSimdReps = 3;
-  const char* kSavedEnv = std::getenv("FSIM_SIMD");
-  const std::string saved_env = kSavedEnv ? kSavedEnv : "";
-
-  std::vector<const char*> levels = {"off"};
-  if (simd::Avx2Kernels() != nullptr &&
-      simd::HostCpuFeatures().Avx2Usable()) {
-    levels.push_back("avx2");
-  }
-  if (simd::Avx512Kernels() != nullptr &&
-      simd::HostCpuFeatures().Avx512Usable()) {
-    levels.push_back("avx512");
-  }
-
-  std::string out = "{\n";
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "    \"host_level\": \"%s\",\n",
-                simd::SimdLevelName(simd::ResolveSimdLevel(SimdMode::kAuto)));
-  out += buf;
-
-  std::printf("\nsimd     variant  threads");
-  for (const char* level : levels) std::printf("  %-10s", level);
-  std::printf("\n");
-
-  bool first_variant = true;
-  for (SimVariant variant : {SimVariant::kSimple, SimVariant::kBi}) {
-    const char* name = SimVariantName(variant);
-    out += std::string(first_variant ? "" : ",\n") + "    \"" + name +
-           "\": {";
-    first_variant = false;
-    bool first_field = true;
-    for (int pass = 0; pass < 2; ++pass) {
-      const int threads = pass == 0 ? 1 : num_threads;
-      if (pass == 1 && num_threads <= 1) break;
-      std::printf("simd     %-8s %-7d", name, threads);
-      std::vector<double> baseline;  // forced-scalar values
-      double off_seconds = 0.0;
-      for (const char* level : levels) {
-        double best = 0.0;
-        for (int rep = 0; rep < kSimdReps; ++rep) {
-          FSimConfig config = BaseConfig(variant);
-          config.theta = 1.0;
-          config.neighbor_index_budget_bytes = 1ULL << 30;
-          config.num_threads = threads;
-          setenv("FSIM_SIMD", level, 1);
-          auto dense = ComputeFSimDense(g, g, config);
-          if (kSavedEnv) {
-            setenv("FSIM_SIMD", saved_env.c_str(), 1);
-          } else {
-            unsetenv("FSIM_SIMD");
-          }
-          if (!dense.ok()) {
-            std::fprintf(stderr, "fatal: simd sweep run failed (%s/%s)\n",
-                         name, level);
-            std::abort();
-          }
-          const double s = dense->stats().iterate_seconds;
-          if (rep == 0 || s < best) best = s;
-          if (rep == 0) {
-            if (baseline.empty()) {
-              baseline.assign(dense->values().begin(),
-                              dense->values().end());
-            } else {
-              // The panel path's bit-identity contract, enforced where the
-              // headline numbers are produced.
-              for (size_t i = 0; i < baseline.size(); ++i) {
-                if (dense->values()[i] != baseline[i]) {
-                  std::fprintf(
-                      stderr,
-                      "fatal: %s/%s not bit-identical to scalar at [%zu]\n",
-                      name, level, i);
-                  std::abort();
-                }
-              }
-            }
-          }
-        }
-        if (std::string(level) == "off") off_seconds = best;
-        std::snprintf(buf, sizeof(buf), "%s\"%s_t%d_s\": %.6f",
-                      first_field ? "" : ", ", level, threads, best);
-        out += buf;
-        first_field = false;
-        if (std::string(level) != "off" && off_seconds > 0.0) {
-          std::snprintf(buf, sizeof(buf), ", \"speedup_%s_t%d\": %.3f",
-                        level, threads, off_seconds / best);
-          out += buf;
-        }
-        std::printf("  %-10s", bench::FormatSeconds(best).c_str());
-      }
-      std::printf("\n");
-    }
-    out += "}";
-  }
-  out += "\n  }";
   return out;
 }
 
@@ -561,8 +451,6 @@ void RunPhaseTimings() {
     }
     json.SetTuningJson(RunTuningSweep(thread_counts.back()));
   }
-  json.AddRawSection(
-      "simd", RunSimdSweep(thread_counts.empty() ? 1 : thread_counts.back()));
   json.AddRawSection("trace_overhead", RunTraceOverheadGuard());
 
   if (!json.WriteFile("BENCH_fsim.json")) {

@@ -2,11 +2,7 @@
 // greedy vs Hungarian realizations of the injective mapping operators (the
 // ablation behind the paper's complexity claim in §4.2), the per-direction
 // operator evaluation, the flat pair-map lookups that dominate
-// Algorithm 1's inner loop, and the isolated stages of the vectorized tile
-// kernels (core/simd/) — panel/work-list build (the θ-compat bitset tests),
-// the masked-gather accumulate pass, and the normalize reduction — per
-// kernel level, through the kernel table only (no intrinsics here; the
-// simd-isolation lint rule keeps those in src/core/simd/).
+// Algorithm 1's inner loop.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,13 +10,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/flat_pair_map.h"
 #include "common/random.h"
 #include "core/operators.h"
-#include "core/simd/cpu_features.h"
-#include "core/simd/kernels.h"
-#include "core/simd/tile_panel.h"
 #include "matching/greedy_matching.h"
 #include "matching/hungarian.h"
 
@@ -86,190 +78,6 @@ void BM_DirectionScore(benchmark::State& state) {
 BENCHMARK(BM_DirectionScore)
     ->ArgsProduct({{0, 1, 2, 3}, {4, 16, 64}})
     ->ArgNames({"variant", "deg"});
-
-// ---------------------------------------------------------------------------
-// Tile-kernel stages (core/simd/). A synthetic yeast-shaped workload: one
-// 256-entry tile, Poisson-ish degrees around 6 across 13 label classes,
-// half the class pairs θ-compatible — the shape the dense engine feeds the
-// kernels at, without the engine around it.
-
-constexpr uint32_t kBenchClasses = 13;
-constexpr uint32_t kBenchTile = 256;
-
-/// Backing store for the GroupedNeighborhood views BuildTilePanelSet pulls.
-struct SyntheticNeighborhoods {
-  std::vector<std::vector<ClassGroup>> groups;
-  std::vector<std::vector<NodeId>> nodes;
-  std::vector<std::vector<uint32_t>> pos;
-  // θ-compat bitsets (ClassCompatView rows).
-  std::vector<uint64_t> bits;
-  size_t words = 0;
-
-  GroupedNeighborhood View(NodeId v) const {
-    return {groups[v], nodes[v].data(), pos[v].data(), nullptr,
-            nodes[v].size()};
-  }
-  ClassCompatView Compat() const { return {bits.data(), words}; }
-};
-
-const SyntheticNeighborhoods& BenchNeighborhoods() {
-  static const SyntheticNeighborhoods store = [] {
-    SyntheticNeighborhoods s;
-    Rng rng(271828);
-    s.groups.resize(kBenchTile);
-    s.nodes.resize(kBenchTile);
-    s.pos.resize(kBenchTile);
-    for (uint32_t v = 0; v < kBenchTile; ++v) {
-      const uint32_t deg = 2 + static_cast<uint32_t>(rng.NextBounded(9));
-      // Grouped (class, id) order with the original-position permutation,
-      // mimicking DenseIndex's GroupedAdjacency layout.
-      std::vector<std::pair<uint32_t, uint32_t>> by_class(deg);
-      for (uint32_t k = 0; k < deg; ++k) {
-        by_class[k] = {static_cast<uint32_t>(rng.NextBounded(kBenchClasses)),
-                       k};
-      }
-      std::sort(by_class.begin(), by_class.end());
-      uint32_t run_begin = 0;
-      for (uint32_t k = 0; k < deg; ++k) {
-        s.nodes[v].push_back(
-            static_cast<NodeId>(rng.NextBounded(kBenchTile)));
-        s.pos[v].push_back(by_class[k].second);
-        if (k + 1 == deg || by_class[k + 1].first != by_class[k].first) {
-          s.groups[v].push_back({static_cast<LabelId>(by_class[k].first),
-                                 run_begin, k + 1});
-          run_begin = k + 1;
-        }
-      }
-    }
-    s.words = (kBenchClasses + 63) / 64;
-    s.bits.assign(kBenchClasses * s.words, 0);
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      for (uint32_t b = 0; b < kBenchClasses; ++b) {
-        if ((a + b) % 2 == 0) {  // half the pairs compatible
-          s.bits[a * s.words + (b >> 6)] |= uint64_t{1} << (b & 63);
-        }
-      }
-    }
-    return s;
-  }();
-  return store;
-}
-
-const simd::TilePanelSet& BenchPanelSet() {
-  static const simd::TilePanelSet set = [] {
-    const SyntheticNeighborhoods& s = BenchNeighborhoods();
-    return simd::BuildTilePanelSet(
-        kBenchTile, kBenchTile, kBenchClasses, s.Compat(), /*with_inv=*/true,
-        [&s](NodeId v) { return s.View(v); });
-  }();
-  return set;
-}
-
-/// The kernel table for a benchmark level arg (0 scalar, 1 AVX2,
-/// 2 AVX-512), or nullptr when the host/build lacks it.
-const simd::SimdKernels* BenchKernels(int level) {
-  switch (level) {
-    case 0: return &simd::ScalarKernels();
-    case 1:
-      return simd::HostCpuFeatures().Avx2Usable() ? simd::Avx2Kernels()
-                                                  : nullptr;
-    default:
-      return simd::HostCpuFeatures().Avx512Usable() ? simd::Avx512Kernels()
-                                                    : nullptr;
-  }
-}
-
-/// Panel + work-list build: the per-run θ-compat bitset tests and nibble
-/// packing (amortized across the whole solve in the engine; isolated here).
-void BM_TilePanelBuild(benchmark::State& state) {
-  const SyntheticNeighborhoods& s = BenchNeighborhoods();
-  for (auto _ : state) {
-    simd::TilePanelSet set = simd::BuildTilePanelSet(
-        kBenchTile, kBenchTile, kBenchClasses, s.Compat(), /*with_inv=*/true,
-        [&s](NodeId v) { return s.View(v); });
-    benchmark::DoNotOptimize(set.tiles.size());
-  }
-}
-BENCHMARK(BM_TilePanelBuild)->Unit(benchmark::kMicrosecond);
-
-/// The accumulate stage: one row's masked-gather max pass over every class
-/// work list of the tile (the s-variant inner loop).
-void BM_TileRowPass(benchmark::State& state) {
-  const simd::SimdKernels* kern = BenchKernels(static_cast<int>(state.range(0)));
-  if (kern == nullptr) {
-    state.SkipWithError("kernel level unavailable on this host/build");
-    return;
-  }
-  const simd::TilePanel& panel = BenchPanelSet().tiles[0];
-  Rng rng(99);
-  AlignedVector<double> prev(kBenchTile);
-  for (double& v : prev) v = rng.NextDouble();
-  std::vector<double> acc(panel.entries);
-  for (auto _ : state) {
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      const auto items = panel.WorkList(static_cast<LabelId>(a));
-      kern->tile_row_pass(items.data(), items.size(), panel.ids.data(),
-                          prev.data(), acc.data());
-    }
-    benchmark::DoNotOptimize(acc.data());
-  }
-}
-BENCHMARK(BM_TileRowPass)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgName("level")
-    ->Unit(benchmark::kMicrosecond);
-
-/// The accumulate stage with column maxima (the b-variant inner loop).
-void BM_TileRowPassColmax(benchmark::State& state) {
-  const simd::SimdKernels* kern = BenchKernels(static_cast<int>(state.range(0)));
-  if (kern == nullptr) {
-    state.SkipWithError("kernel level unavailable on this host/build");
-    return;
-  }
-  const simd::TilePanel& panel = BenchPanelSet().tiles[0];
-  Rng rng(99);
-  AlignedVector<double> prev(kBenchTile);
-  for (double& v : prev) v = rng.NextDouble();
-  std::vector<double> acc(panel.entries);
-  AlignedVector<double> colmax(panel.SlotCount());
-  for (auto _ : state) {
-    kern->fill(colmax.data(), colmax.size(), 0.0);
-    for (uint32_t a = 0; a < kBenchClasses; ++a) {
-      const auto items = panel.WorkList(static_cast<LabelId>(a));
-      kern->tile_row_pass_colmax(items.data(), items.size(),
-                                 panel.ids.data(), prev.data(), acc.data(),
-                                 colmax.data());
-    }
-    benchmark::DoNotOptimize(colmax.data());
-  }
-}
-BENCHMARK(BM_TileRowPassColmax)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgName("level")
-    ->Unit(benchmark::kMicrosecond);
-
-/// The reduction stage: per-entry Ωχ normalization of the tile sums.
-void BM_TileNormalize(benchmark::State& state) {
-  const simd::SimdKernels* kern = BenchKernels(static_cast<int>(state.range(0)));
-  if (kern == nullptr) {
-    state.SkipWithError("kernel level unavailable on this host/build");
-    return;
-  }
-  const simd::TilePanel& panel = BenchPanelSet().tiles[0];
-  Rng rng(7);
-  std::vector<double> sums(panel.entries);
-  for (double& v : sums) v = rng.NextDouble() * 8.0;
-  std::vector<double> out(panel.entries);
-  for (auto _ : state) {
-    kern->normalize_tile(sums.data(), panel.sizes.data(), panel.entries,
-                         /*omega_kind=*/2, /*m1=*/6.0, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_TileNormalize)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->ArgName("level")
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_FlatPairMapLookup(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -10,7 +10,7 @@
 // Usage:
 //   fsim_cli --g1 <file> [--g2 <file>] [--variant s|dp|b|bj]
 //            [--theta T] [--w-out W] [--w-in W] [--label-sim i|e|j]
-//            [--upper-bound] [--threads N] [--simd off|avx2|avx512|auto]
+//            [--upper-bound] [--threads N]
 //            [--topk K --source NODE] [--topk-pairs K]
 //            [--exact] [--partition]
 //            [--out <scores-file>] [--save-binary <graph-file>]
@@ -39,7 +39,6 @@
 #include "core/incremental_index.h"
 #include "core/pair_store.h"
 #include "core/scores_io.h"
-#include "core/simd/dispatch.h"
 #include "core/topk_allpairs.h"
 #include "core/topk_search.h"
 #include "exact/exact_simulation.h"
@@ -61,7 +60,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --g1 <file> [--g2 <file>] [--variant s|dp|b|bj]\n"
       "          [--theta T] [--w-out W] [--w-in W] [--label-sim i|e|j]\n"
-      "          [--upper-bound] [--threads N] [--simd off|avx2|avx512|auto]\n"
+      "          [--upper-bound] [--threads N]\n"
       "          [--active-set off|exact|tol] [--frontier-tolerance T]\n"
       "          [--topk K --source NODE] [--topk-pairs K]\n"
       "          [--exact] [--partition]\n"
@@ -310,12 +309,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--frontier-tolerance") == 0) {
       config.frontier_tolerance = parse_double_flag("--frontier-tolerance");
-    } else if (std::strcmp(argv[i], "--simd") == 0) {
-      // Kernel-level ceiling for the dense engine (core/simd/dispatch.h);
-      // the FSIM_SIMD environment variable, when set, wins over this flag.
-      if (!simd::ParseSimdMode(need_value("--simd"), &config.simd)) {
-        return Usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--topk") == 0) {
       topk = parse_size_flag("--topk");
     } else if (std::strcmp(argv[i], "--topk-pairs") == 0) {

@@ -54,11 +54,6 @@ def main():
         record["fsim"] = fsim_summary(fsim.get("runs", {}))
         if fsim.get("dense"):
             record["dense"] = fsim_summary(fsim["dense"])
-        # The "simd" section is already compact (per-variant scalar-vs-vector
-        # iterate seconds and speedups from bench_fsim's min-of-N sweep);
-        # fold it through as-is so the gate tracks the `*_s` time series.
-        if fsim.get("simd"):
-            record["simd"] = fsim["simd"]
     except OSError as e:
         print(f"warning: skipping fsim summary: {e}", file=sys.stderr)
     try:

@@ -31,11 +31,10 @@ Rules (each can be silenced on a line with `// fsim-lint: allow(<rule>)`):
                   lines above) stating what crash-consistency contract the
                   sync upholds — the WAL/snapshot ordering invariants live
                   in those comments.
-  simd-isolation  x86 vector intrinsics (<immintrin.h>/<x86intrin.h>,
-                  _mm*_* calls, __m128/__m256/__m512/__mmask types) are
-                  confined to src/core/simd/ — everything else talks to the
-                  kernel-table abstraction (core/simd/kernels.h) so the
-                  portable scalar build never depends on ISA headers.
+  simd-isolation  No x86 vector intrinsics anywhere (<immintrin.h>/
+                  <x86intrin.h>, _mm*_* calls, __m128/__m256/__m512/__mmask
+                  types): the tree is plain portable C++ with no per-ISA
+                  code paths, so the build never depends on ISA headers.
                   Deliberate exceptions (e.g. a bench TU timing with
                   __rdtsc) carry the per-line allow escape.
 
@@ -358,12 +357,9 @@ SIMD_INCLUDE_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|[a-z]+mmintrin|avx\w*intrin)\.h>")
 SIMD_INTRINSIC_RE = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b|\b__mmask\d+\b")
-SIMD_HOME = "src/core/simd/"
 
 
 def check_simd_isolation(path: Path, lines: list[str]) -> list[Finding]:
-    if relpath(path).startswith(SIMD_HOME):
-        return []
     findings = []
     for i, line in enumerate(lines):
         code = strip_strings_and_comments(line)
@@ -373,9 +369,8 @@ def check_simd_isolation(path: Path, lines: list[str]) -> list[Finding]:
             continue
         findings.append(Finding(
             path, i + 1, "simd-isolation",
-            "x86 vector intrinsics outside src/core/simd/ — use the kernel "
-            "table (core/simd/kernels.h) so the portable build stays "
-            "ISA-free", line))
+            "x86 vector intrinsics — the tree keeps no per-ISA code paths, "
+            "so the build stays ISA-free", line))
     return findings
 
 

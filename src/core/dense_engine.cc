@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "common/aligned.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -12,8 +11,6 @@
 #include "core/fsim_engine.h"
 #include "core/init_value.h"
 #include "core/operators.h"
-#include "core/simd/dispatch.h"
-#include "core/simd/tile_panel.h"
 #include "obs/trace.h"
 
 namespace fsim {
@@ -33,14 +30,6 @@ constexpr size_t kDenseRowGrain = 8;
 /// `curr` plus the tile's prev-row slices fit comfortably in L2 while
 /// keeping the tile loop overhead negligible.
 constexpr size_t kDenseVTile = 256;
-
-// The normalize kernel (core/simd/kernels.h NormalizeTileFn) receives
-// OmegaKind as its integer value; pin the mapping it documents.
-static_assert(static_cast<uint32_t>(OmegaKind::kSizeS1) == 0 &&
-              static_cast<uint32_t>(OmegaKind::kSumSizes) == 1 &&
-              static_cast<uint32_t>(OmegaKind::kGeoMean) == 2 &&
-              static_cast<uint32_t>(OmegaKind::kMaxSize) == 3 &&
-              static_cast<uint32_t>(OmegaKind::kProduct) == 4);
 
 }  // namespace
 
@@ -89,13 +78,6 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   const std::optional<DenseIndex> index =
       DenseIndex::Build(g1, g2, config, lsim);
 
-  // Vectorized kernel level for this run (docs/performance.md "Vectorized
-  // tile kernels"). Every level is value-equivalent: the max-family tile
-  // path and the combine/seeding kernels are bit-identical to scalar, so
-  // the knob never changes results.
-  const simd::SimdLevel simd_level = simd::ResolveSimdLevel(config.simd);
-  const simd::SimdKernels& kern = simd::KernelsFor(simd_level);
-
   const OperatorConfig op = config.operators();
   const double label_weight = 1.0 - config.w_out - config.w_in;
   const uint32_t max_iters = FSimIterationBound(config);
@@ -103,66 +85,13 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   const bool use_out = config.w_out > 0.0;
   const bool use_in = config.w_in > 0.0;
 
-  // g2's label row as gather indices, shared by the kLabelSim seeding and
-  // the combine kernel's label-term gather.
-  AlignedVector<int32_t> labels2;
-  if (index || config.init == InitKind::kLabelSim) {
-    labels2.resize(n2);
-    for (size_t v = 0; v < n2; ++v) {
-      labels2[v] = static_cast<int32_t>(g2.Label(static_cast<NodeId>(v)));
-    }
-  }
-
-  // SoA candidate panels for the vectorized max-family tile path
-  // (core/simd/tile_panel.h). The grouped views of g2 are
-  // iteration-invariant, so they are flattened once per run and direction;
-  // the injective and product operators keep their scalar tile paths (the
-  // per-pair matching/sum work dominates there), as does FSIM_SIMD=off —
-  // which therefore stays the exact pre-panel code path the equivalence
-  // tests diff against.
-  const bool simd_tiles = index.has_value() &&
-                          simd_level != simd::SimdLevel::kScalar &&
-                          (op.mapping == MappingKind::kMaxPerRow ||
-                           op.mapping == MappingKind::kMaxBothSides);
-  std::optional<simd::TilePanelSet> out_panels;
-  std::optional<simd::TilePanelSet> in_panels;
-  uint32_t panel_max_slots = 0;
   FSimStats stats;
-  if (simd_tiles) {
-    const ClassCompatView compat = index->table().view();
-    const size_t classes = index->table().num_classes();
-    const bool with_inv = op.mapping == MappingKind::kMaxBothSides;
-    if (use_out) {
-      out_panels = simd::BuildTilePanelSet(
-          n2, kDenseVTile, classes, compat, with_inv,
-          [&](NodeId v) { return index->Out2(v); });
-      panel_max_slots = std::max(panel_max_slots, out_panels->max_slots);
-      stats.simd_panel_bytes += out_panels->MemoryBytes();
-    }
-    if (use_in) {
-      in_panels = simd::BuildTilePanelSet(
-          n2, kDenseVTile, classes, compat, with_inv,
-          [&](NodeId v) { return index->In2(v); });
-      panel_max_slots = std::max(panel_max_slots, in_panels->max_slots);
-      stats.simd_panel_bytes += in_panels->MemoryBytes();
-    }
-  }
-
-  AlignedVector<double> prev(total);
-  AlignedVector<double> curr(total);
-  FSIM_DCHECK(IsSimdAligned(prev.data()) && IsSimdAligned(curr.data()));
+  std::vector<double> prev(total);
+  std::vector<double> curr(total);
   // FSim^0 seeding is O(n1 * n2) and embarrassingly parallel; chunk it over
   // the same pool the iterate loop uses instead of leaving it serial. Each
-  // InitKind maps onto one flat row kernel (fill / gather / degree-ratio)
-  // with values identical to InitValue at every SIMD level.
+  // InitKind is one flat row loop with values identical to InitValue.
   const size_t num_label_classes = g1.dict()->size();
-  std::vector<double> seed_d2;
-  if (config.init == InitKind::kDegreeRatio) {
-    seed_d2.resize(n2);
-    for (size_t v = 0; v < n2; ++v) {
-      seed_d2[v] = static_cast<double>(g2.OutDegree(static_cast<NodeId>(v)));
-    }
-  }
   std::vector<std::vector<double>> seed_sim_rows(num_threads);
   pool.ParallelForChunked(
       n1, kDenseRowGrain, [&](int worker, size_t begin, size_t end) {
@@ -178,19 +107,28 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
               for (size_t c = 0; c < num_label_classes; ++c) {
                 sim_row[c] = lsim.Sim(lu, static_cast<LabelId>(c));
               }
-              kern.gather_row(sim_row.data(), labels2.data(), n2, row);
+              for (size_t v = 0; v < n2; ++v) {
+                row[v] = sim_row[g2.Label(static_cast<NodeId>(v))];
+              }
               break;
             }
             case InitKind::kIndicatorDiagonal:
-              kern.fill(row, n2, 0.0);
+              std::fill(row, row + n2, 0.0);
               if (u_index < n2) row[u_index] = 1.0;
               break;
-            case InitKind::kDegreeRatio:
-              kern.degree_ratio_row(static_cast<double>(g1.OutDegree(u)),
-                                    seed_d2.data(), n2, row);
+            case InitKind::kDegreeRatio: {
+              const double d1 = static_cast<double>(g1.OutDegree(u));
+              for (size_t v = 0; v < n2; ++v) {
+                const double d2 =
+                    static_cast<double>(g2.OutDegree(static_cast<NodeId>(v)));
+                row[v] = d1 == 0.0 && d2 == 0.0
+                             ? 1.0
+                             : std::min(d1, d2) / std::max(d1, d2);
+              }
               break;
+            }
             case InitKind::kOnes:
-              kern.fill(row, n2, 1.0);
+              std::fill(row, row + n2, 1.0);
               break;
           }
         }
@@ -200,7 +138,6 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
   stats.maintained_pairs = total;
   stats.used_neighbor_index = index.has_value();
   stats.neighbor_index_bytes = index ? index->MemoryBytes() : 0;
-  stats.simd_level = static_cast<uint32_t>(simd_level);
   stats.build_seconds = build_timer.Seconds();
 
   // Fallback score source: previous-iteration value, negative marking
@@ -224,55 +161,31 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
     std::vector<double> in_scores;
   };
   std::vector<VTileViews> tile_views(num_threads);
-  // Per-worker panel-path scratch: the slot-space column-maximum panel of
-  // the both-sides operator, and the pre-normalize per-entry sums its
-  // finalize hands to the normalize kernel.
-  struct PanelScratch {
-    AlignedVector<double> colmax;
-    AlignedVector<double> sums;
-  };
-  std::vector<PanelScratch> panel_scratch(num_threads);
-  if (simd_tiles && op.mapping == MappingKind::kMaxBothSides) {
-    for (auto& ps : panel_scratch) {
-      ps.colmax.resize(panel_max_slots);
-      ps.sums.resize(kDenseVTile);
-      FSIM_DCHECK(IsSimdAligned(ps.colmax.data()));
-    }
-  }
-
-  // The iterate loop's per-row combine + max-delta over one v-tile segment,
-  // shared by the indexed and panel chunk bodies. A pin_diagonal row takes
-  // the scalar branch (the pin is a per-element exception the flat kernel
-  // has no lane for); everything else runs the combine kernel, whose
-  // association matches the scalar expression exactly.
+  // The iterate loop's per-row combine + max-delta over one v-tile
+  // segment, associated as ((w+·out) + (w-·in)) + label term.
   auto combine_tile = [&](const LabelClassTable& table, NodeId u, LabelId lu,
-                          size_t vb, NodeId v_hi, size_t tile,
-                          const double* out_scores, const double* in_scores,
-                          double* chunk_delta) {
+                          size_t vb, size_t tile, const double* out_scores,
+                          const double* in_scores, double* chunk_delta) {
     const size_t u_index = u;
     double* out_row = curr.data() + u_index * n2 + vb;
     const double* prev_row = prev.data() + u_index * n2 + vb;
-    if (config.pin_diagonal && u_index >= vb && u < v_hi) {
-      double delta = *chunk_delta;
-      for (NodeId v = static_cast<NodeId>(vb); v < v_hi; ++v) {
-        double value;
-        if (u == v) {
-          value = 1.0;
-        } else {
-          value = (use_out ? config.w_out * out_scores[v - vb] : 0.0) +
-                  (use_in ? config.w_in * in_scores[v - vb] : 0.0) +
-                  table.WeightedLabelTerm(lu, g2.Label(v));
-        }
-        out_row[v - vb] = value;
-        delta = std::max(delta, std::abs(value - prev_row[v - vb]));
+    const double* term_row = table.WeightedLabelTermRow(lu);
+    double delta = *chunk_delta;
+    for (size_t t = 0; t < tile; ++t) {
+      const NodeId v = static_cast<NodeId>(vb + t);
+      double value;
+      if (config.pin_diagonal && u == v) {
+        value = 1.0;
+      } else {
+        const double o = use_out ? config.w_out * out_scores[t] : 0.0;
+        const double in = use_in ? config.w_in * in_scores[t] : 0.0;
+        const double term = term_row ? term_row[g2.Label(v)] : 0.0;
+        value = (o + in) + term;
       }
-      *chunk_delta = delta;
-    } else {
-      kern.combine_row(use_out ? out_scores : nullptr,
-                       use_in ? in_scores : nullptr, config.w_out, config.w_in,
-                       table.WeightedLabelTermRow(lu), labels2.data() + vb,
-                       prev_row, out_row, tile, chunk_delta);
+      out_row[t] = value;
+      delta = std::max(delta, std::abs(value - prev_row[t]));
     }
+    *chunk_delta = delta;
   };
 
   // Indexed chunk body: rows [begin, end) x all v, tiled over v so the
@@ -327,140 +240,7 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
                                        worker_scratch,
                                        views.in_scores.data());
         }
-        combine_tile(table, u, lu, vb, v_hi, tile, views.out_scores.data(),
-                     views.in_scores.data(), &chunk_delta);
-      }
-    }
-    if (chunk_delta > worker_delta[worker].value) {
-      worker_delta[worker].value = chunk_delta;
-    }
-  };
-
-  // Panel chunk body: the vectorized max-family tile path. Per (row p,
-  // panel) the kernel walks only the precomputed work list of p's label
-  // class — masked 4-slot gathers of the previous-score row with a running
-  // per-entry maximum (plus the slot-space column maxima for the
-  // both-sides operator) — instead of re-intersecting class runs per
-  // (p, v). Values are bit-identical to DirectionScoreGroupedTile: maxima
-  // are exact and order-free, rows are walked in the same ascending
-  // position order, and a skipped zero `best` equals the scalar
-  // `acc[t] += 0.0`.
-  auto evaluate_chunk_panel = [&]<MappingKind M>(int worker, size_t begin,
-                                                 size_t end) {
-    static_assert(M == MappingKind::kMaxPerRow ||
-                  M == MappingKind::kMaxBothSides);
-    constexpr bool kBothSides = M == MappingKind::kMaxBothSides;
-    const DenseIndex& di = *index;
-    const LabelClassTable& table = di.table();
-    MatchingScratch* worker_scratch = &scratch[worker];
-    PanelScratch& ps = panel_scratch[worker];
-    const double* prev_data = prev.data();
-    double chunk_delta = 0.0;
-    VTileViews& views = tile_views[worker];
-
-    auto eval_panel = [&](const simd::TilePanel& panel,
-                          const GroupedNeighborhood& s1, double* out) {
-      const size_t entries = panel.entries;
-      const size_t m1 = s1.size;
-      if (m1 == 0) {
-        // Empty-S1 conventions of DirectionScoreGroupedT<M>: max-per-row
-        // is vacuously perfect; both-sides is 1 only when S2 is empty too,
-        // otherwise the all-zero column sum flows through Ωχ.
-        for (size_t t = 0; t < entries; ++t) {
-          if constexpr (!kBothSides) {
-            out[t] = 1.0;
-          } else {
-            const uint32_t n2t = panel.sizes[t];
-            if (n2t == 0) {
-              out[t] = 1.0;
-              continue;
-            }
-            const double omega = OmegaValue(op.omega, 0, n2t);
-            FSIM_DCHECK(omega > 0.0);
-            out[t] = 0.0 / omega;
-          }
-        }
-        return;
-      }
-      // Position-ascending S1 row maps, as in the scalar tile path.
-      auto& row_class = worker_scratch->row_class;
-      auto& row_node = worker_scratch->row_node;
-      row_class.resize(m1);
-      row_node.resize(m1);
-      for (const ClassGroup& ga : s1.groups) {
-        for (uint32_t i = ga.begin; i < ga.end; ++i) {
-          row_class[s1.pos[i]] = ga.label;
-          row_node[s1.pos[i]] = s1.nodes[i];
-        }
-      }
-      auto& acc = worker_scratch->tile_acc;
-      acc.assign(entries, 0.0);
-      if constexpr (kBothSides) {
-        // One bulk zero of the whole slot range. Pad slots get max-written
-        // by the kernel but are never read back (inv points only at real
-        // candidates), so zeroing them too is harmless — and much cheaper
-        // than a kernel call per entry.
-        kern.fill(ps.colmax.data(), panel.SlotCount(), 0.0);
-      }
-      for (size_t p = 0; p < m1; ++p) {
-        const std::span<const simd::PanelWorkItem> items =
-            panel.WorkList(static_cast<LabelId>(row_class[p]));
-        const double* prow =
-            prev_data + static_cast<size_t>(row_node[p]) * n2;
-        if constexpr (kBothSides) {
-          kern.tile_row_pass_colmax(items.data(), items.size(),
-                                    panel.ids.data(), prow, acc.data(),
-                                    ps.colmax.data());
-        } else {
-          kern.tile_row_pass(items.data(), items.size(), panel.ids.data(),
-                             prow, acc.data());
-        }
-      }
-      // Finalize. The per-entry Ωχ switch and division run vectorized in
-      // the normalize kernel (bit-identical to the scalar OmegaValue +
-      // divide — kernels.h contract). The both-sides column sum reads the
-      // slot-space maxima through the panel's inverse permutation, which
-      // is exactly the scalar path's position-ascending summation order.
-      const double m1d = static_cast<double>(m1);
-      const uint32_t omega_kind = static_cast<uint32_t>(op.omega);
-      if constexpr (kBothSides) {
-        const double* colmax = ps.colmax.data();
-        double* sums = ps.sums.data();
-        for (size_t t = 0; t < entries; ++t) {
-          double sum = acc[t];
-          const uint32_t sb = panel.entry_off[t];
-          const uint32_t n2t = panel.sizes[t];
-          for (uint32_t j = 0; j < n2t; ++j) {
-            sum += colmax[panel.inv[sb + j]];
-          }
-          sums[t] = sum;
-        }
-        kern.normalize_tile(sums, panel.sizes.data(), entries, omega_kind,
-                            m1d, out);
-      } else {
-        kern.normalize_tile(acc.data(), panel.sizes.data(), entries,
-                            omega_kind, m1d, out);
-      }
-    };
-
-    size_t tile_index = 0;
-    for (size_t vb = 0; vb < n2; vb += kDenseVTile, ++tile_index) {
-      const NodeId v_hi = static_cast<NodeId>(std::min(vb + kDenseVTile, n2));
-      const size_t tile = v_hi - vb;
-      views.out_scores.resize(tile);
-      views.in_scores.resize(tile);
-      for (size_t u_index = begin; u_index < end; ++u_index) {
-        const NodeId u = static_cast<NodeId>(u_index);
-        const LabelId lu = g1.Label(u);
-        if (use_out) {
-          eval_panel(out_panels->tiles[tile_index], di.Out1(u),
-                     views.out_scores.data());
-        }
-        if (use_in) {
-          eval_panel(in_panels->tiles[tile_index], di.In1(u),
-                     views.in_scores.data());
-        }
-        combine_tile(table, u, lu, vb, v_hi, tile, views.out_scores.data(),
+        combine_tile(table, u, lu, vb, tile, views.out_scores.data(),
                      views.in_scores.data(), &chunk_delta);
       }
     }
@@ -519,15 +299,9 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
           }
           switch (op.mapping) {
             case MappingKind::kMaxPerRow:
-              if (simd_tiles) {
-                evaluate_chunk_panel
-                    .template operator()<MappingKind::kMaxPerRow>(worker,
-                                                                  begin, end);
-              } else {
-                evaluate_chunk_indexed
-                    .template operator()<MappingKind::kMaxPerRow>(worker,
-                                                                  begin, end);
-              }
+              evaluate_chunk_indexed
+                  .template operator()<MappingKind::kMaxPerRow>(worker, begin,
+                                                                end);
               break;
             case MappingKind::kInjectiveRow:
               evaluate_chunk_indexed
@@ -535,15 +309,9 @@ Result<DenseFSimScores> ComputeFSimDense(const Graph& g1, const Graph& g2,
                                                                    begin, end);
               break;
             case MappingKind::kMaxBothSides:
-              if (simd_tiles) {
-                evaluate_chunk_panel
-                    .template operator()<MappingKind::kMaxBothSides>(
-                        worker, begin, end);
-              } else {
-                evaluate_chunk_indexed
-                    .template operator()<MappingKind::kMaxBothSides>(
-                        worker, begin, end);
-              }
+              evaluate_chunk_indexed
+                  .template operator()<MappingKind::kMaxBothSides>(
+                      worker, begin, end);
               break;
             case MappingKind::kInjectiveSym:
               evaluate_chunk_indexed

@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/result.h"
 #include "core/fsim_config.h"
 #include "core/fsim_scores.h"
@@ -41,7 +40,7 @@ namespace fsim {
 class DenseFSimScores {
  public:
   DenseFSimScores() = default;
-  DenseFSimScores(size_t n1, size_t n2, AlignedVector<double> values,
+  DenseFSimScores(size_t n1, size_t n2, std::vector<double> values,
                   FSimStats stats)
       : n1_(n1), n2_(n2), values_(std::move(values)), stats_(std::move(stats)) {
     FSIM_DCHECK(values_.size() == n1_ * n2_);
@@ -59,15 +58,14 @@ class DenseFSimScores {
   /// The k highest-scoring v for a fixed u, descending (ties by node id).
   std::vector<std::pair<NodeId, double>> TopK(NodeId u, size_t k) const;
 
-  /// Row-major n1 x n2 matrix, 64-byte aligned (the engine's double-buffer
-  /// panels are AlignedVector so the vectorized kernels see aligned bases).
-  const AlignedVector<double>& values() const { return values_; }
+  /// Row-major n1 x n2 matrix.
+  const std::vector<double>& values() const { return values_; }
   const FSimStats& stats() const { return stats_; }
 
  private:
   size_t n1_ = 0;
   size_t n2_ = 0;
-  AlignedVector<double> values_;  // row-major, n1 x n2
+  std::vector<double> values_;  // row-major, n1 x n2
   FSimStats stats_;
 };
 

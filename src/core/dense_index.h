@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned.h"
 #include "core/fsim_config.h"
 #include "core/operators.h"
 #include "graph/graph.h"
@@ -54,16 +53,10 @@ class LabelClassTable {
     return (compat_[a * words_ + (b >> 6)] >> (b & 63)) & 1u;
   }
 
+  /// Class a's row of the weighted label-term table: row[b] is
   /// (1 - w+ - w-) * label_term(a, b), hoisted out of the iterate loop.
-  /// The table is not materialized when every entry is provably zero
-  /// (label_weight == 0 or LabelTermKind::kZero).
-  double WeightedLabelTerm(LabelId a, LabelId b) const {
-    return label_term_.empty() ? 0.0 : label_term_[a * n_ + b];
-  }
-
-  /// Class a's row of the weighted label-term table, or nullptr when the
-  /// table is not materialized — the combine kernel's gather base
-  /// (core/simd/kernels.h CombineRowFn; row[b] == WeightedLabelTerm(a, b)).
+  /// nullptr when the table is not materialized because every entry is
+  /// provably zero (label_weight == 0 or LabelTermKind::kZero).
   const double* WeightedLabelTermRow(LabelId a) const {
     return label_term_.empty() ? nullptr : label_term_.data() + a * n_;
   }
@@ -91,9 +84,7 @@ class LabelClassTable {
  private:
   size_t n_ = 0;
   size_t words_ = 0;  // 64-bit words per bitset row
-  /// n_ rows of `words_` words. 64-byte aligned: the tile-panel builder
-  /// (core/simd/tile_panel.h) streams whole rows when deriving work lists.
-  AlignedVector<uint64_t> compat_;
+  std::vector<uint64_t> compat_;  // n_ rows of `words_` words
   std::vector<double> label_term_;    // n_ x n_, pre-scaled by label_weight
   std::vector<uint32_t> compat_offsets_;  // n_+1: per-class compat-list CSR
   std::vector<LabelId> compat_list_;      // ascending within each class

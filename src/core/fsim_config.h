@@ -94,20 +94,6 @@ enum class LabelTermKind {
   kOne,       // 1 (RoleSim: the β "decay" becomes an additive constant)
 };
 
-/// Which vectorized kernel level the dense engine may use
-/// (core/simd/dispatch.h; docs/performance.md "Vectorized tile kernels").
-/// A request above what the binary carries or the host supports clamps
-/// down (kAvx512 -> kAvx2 -> scalar); every level produces bit-identical
-/// s/b scores and 1e-12-identical dp/bj scores, so this is purely a
-/// performance knob. The FSIM_SIMD environment variable
-/// (off|avx2|avx512|auto) overrides the config value.
-enum class SimdMode {
-  kOff,     // scalar kernels only
-  kAvx2,    // at most the AVX2 kernels
-  kAvx512,  // at most the AVX-512 kernels
-  kAuto,    // best compiled-in level the host supports (the default)
-};
-
 /// Full configuration of a ComputeFSim run.
 struct FSimConfig {
   /// Simulation variant χ; fixes Mχ/Ωχ unless operator_override is set.
@@ -217,11 +203,6 @@ struct FSimConfig {
   /// the 12-byte layout automatically; tests and benchmarks set this
   /// false to pin the wide layout.
   bool use_packed_neighbor_refs = true;
-
-  /// Vectorized kernel ceiling for the dense engine (see SimdMode). The
-  /// FSIM_SIMD environment variable takes precedence when set to a valid
-  /// value; -DFSIM_SIMD_FORCE_SCALAR builds ignore both.
-  SimdMode simd = SimdMode::kAuto;
 
   /// The effective operator pair.
   OperatorConfig operators() const {

@@ -2,22 +2,9 @@
 
 #include <algorithm>
 
-#include "core/simd/dispatch.h"
-
 namespace fsim {
 
 namespace {
-
-/// The TopKInto score-reject prescan kernel (find_first_ge). FSimScores
-/// carries no config, so the level is resolved once per process from the
-/// environment/host (FSIM_SIMD honored); this is safe because find_first_ge
-/// is the exact complement of the scalar reject at every level — the
-/// surviving candidate set, and hence the result, is level-invariant.
-simd::FindFirstGeFn TopKPrescanKernel() {
-  static const simd::FindFirstGeFn fn =
-      simd::KernelsFor(simd::ResolveSimdLevel(SimdMode::kAuto)).find_first_ge;
-  return fn;
-}
 
 /// Descending score, ties broken by ascending node id — the ranking order of
 /// every top-k surface (FSimScores::TopK, the snapshot top-k cache).
@@ -66,15 +53,14 @@ size_t FSimScores::TopKInto(
                      const std::pair<NodeId, double>& b) {
     return RanksBefore(a, b);
   };
-  const simd::FindFirstGeFn find_first_ge = TopKPrescanKernel();
   size_t i = first;
   while (i < last) {
     if (out->size() - base >= k) {
-      // Hot path: once the heap is warm the prescan skips every candidate
-      // scoring below the heap top in one vectorized sweep (the exact
-      // complement of the old one-compare-per-candidate reject; the top is
-      // loop-invariant across the skipped run since nothing enters).
-      i += find_first_ge(values_.data() + i, last - i, (*out)[base].second);
+      // Hot path: once the heap is warm, skip every candidate scoring below
+      // the heap top (loop-invariant across the skipped run, since nothing
+      // enters).
+      const double top = (*out)[base].second;
+      while (i < last && values_[i] < top) ++i;
       if (i >= last) break;
       const std::pair<NodeId, double> entry{PairSecond(keys_[i]), values_[i]};
       if (RanksBefore(entry, (*out)[base])) {

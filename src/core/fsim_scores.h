@@ -58,13 +58,6 @@ struct FSimStats {
   /// Iterations that ran as full sweeps: the first one, plus every
   /// frontier at or above FSimConfig::frontier_density_threshold.
   uint32_t full_sweep_iterations = 0;
-  /// Resolved vectorized kernel level of the run (core/simd/kernels.h
-  /// SimdLevel: 0 = scalar, 1 = AVX2, 2 = AVX-512). Dense engine only;
-  /// sparse runs report 0.
-  uint32_t simd_level = 0;
-  /// Heap footprint of the dense engine's precomputed SoA tile panels
-  /// (core/simd/tile_panel.h); 0 when the vectorized tile path did not run.
-  size_t simd_panel_bytes = 0;
 };
 
 /// Immutable score container. Pairs are sorted (u-major), so all scores for

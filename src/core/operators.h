@@ -640,13 +640,6 @@ double DirectionScoreGroupedT(OmegaKind omega_kind, MatchingAlgo algo,
 /// tile entry, so every out[t] is bit-identical to the per-pair
 /// DirectionScoreGroupedT value. The matching-based and product operators
 /// delegate to the per-pair evaluation (their per-pair work dominates).
-///
-/// This scalar tile walk is also the reference semantics for the
-/// vectorized panel path (core/simd/): when a SIMD level is enabled, the
-/// dense engine replaces the max-family branch below with precomputed SoA
-/// candidate panels and masked-gather kernels that are bit-identical to
-/// it — the equivalence is pinned by tests/simd_kernel_test.cc, and
-/// FSIM_SIMD=off forces exactly this code.
 template <MappingKind M, typename ScoreFn>
 void DirectionScoreGroupedTile(OmegaKind omega_kind, MatchingAlgo algo,
                                const GroupedNeighborhood& s1,

@@ -27,11 +27,6 @@ namespace fsim {
 /// Evaluates FSim^k(u, v) for maintained pairs against a PairStore's
 /// previous-iteration buffer. Stateless between calls except for the
 /// caller-owned MatchingScratch, so one instance serves all workers.
-///
-/// This sparse per-pair path always runs the scalar operators; only the
-/// dense engine's full-matrix tile loop has a vectorized realization
-/// (core/simd/), and the two agree bit-for-bit on the max family — see
-/// DirectionScoreGroupedTile (core/operators.h).
 class PairEvaluator {
  public:
   PairEvaluator(const Graph& g1, const Graph& g2, const FSimConfig& config,

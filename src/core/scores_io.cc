@@ -5,8 +5,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
-#include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -27,23 +28,58 @@ std::string ScoresToString(const FSimScores& scores) {
   return out;
 }
 
+namespace {
+
+/// One "<u> <v> <score>" line: unsigned decimal node ids (no sign, below
+/// kInvalidNode, whose self-pair is FlatPairMap's empty key) and a finite
+/// score in [0, 1].
+Status ParsePairLine(std::string_view line, size_t line_no, uint32_t* u,
+                     uint32_t* v, double* score) {
+  const auto fields = SplitWhitespace(line);
+  auto parse = [](std::string_view field, auto* out) {
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+  };
+  if (fields.size() != 3 || !parse(fields[0], u) || !parse(fields[1], v) ||
+      !parse(fields[2], score)) {
+    return Status::IOError(StrFormat("malformed pair at line %zu", line_no));
+  }
+  if (*u == kInvalidNode || *v == kInvalidNode) {
+    return Status::IOError(
+        StrFormat("node id out of range at line %zu", line_no));
+  }
+  if (!std::isfinite(*score) || *score < 0.0 || *score > 1.0) {
+    return Status::IOError(
+        StrFormat("score out of range at line %zu", line_no));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<FSimScores> ScoresFromString(std::string_view text) {
   auto lines = Split(text, '\n');
-  size_t line_no = 0;
   if (lines.empty() || Trim(lines[0]) != "fsim-scores v1") {
     return Status::IOError("missing 'fsim-scores v1' header");
   }
-  ++line_no;
   if (lines.size() < 2) return Status::IOError("missing pair count");
   uint64_t expected = 0;
   {
     auto fields = SplitWhitespace(lines[1]);
-    if (fields.size() != 2 || fields[0] != "pairs" ||
-        std::sscanf(std::string(fields[1]).c_str(), "%" PRIu64, &expected) !=
-            1) {
+    if (fields.size() != 2 || fields[0] != "pairs") {
       return Status::IOError("malformed pair count line");
     }
-    ++line_no;
+    auto count = ParseUint64(fields[1]);
+    if (!count.ok()) return Status::IOError("malformed pair count line");
+    expected = *count;
+  }
+  // Each pair takes a line, so a larger count is corrupt — and must not
+  // reach reserve().
+  if (expected > lines.size() - 2) {
+    return Status::IOError(StrFormat(
+        "pair count %" PRIu64 " exceeds the %zu remaining lines", expected,
+        lines.size() - 2));
   }
 
   std::vector<uint64_t> keys;
@@ -55,14 +91,7 @@ Result<FSimScores> ScoresFromString(std::string_view text) {
     if (line.empty()) continue;
     uint32_t u = 0, v = 0;
     double score = 0.0;
-    if (std::sscanf(std::string(line).c_str(), "%u %u %lf", &u, &v, &score) !=
-        3) {
-      return Status::IOError(StrFormat("malformed pair at line %zu", li + 1));
-    }
-    if (score < 0.0 || score > 1.0) {
-      return Status::IOError(
-          StrFormat("score out of range at line %zu", li + 1));
-    }
+    FSIM_RETURN_NOT_OK(ParsePairLine(line, li + 1, &u, &v, &score));
     keys.push_back(PairKey(u, v));
     values.push_back(score);
   }

@@ -10,7 +10,6 @@
 
 #include "common/string_util.h"
 #include "core/scores_io.h"
-#include "core/simd/dispatch.h"
 #include "obs/metrics.h"
 
 namespace fsim {
@@ -330,7 +329,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         "applied=%llu coalesced=%llu failed=%llu shed=%llu replayed=%llu "
         "publishes=%llu persists=%llu wal_durable=%llu wal_applied=%llu "
         "wal_pending=%llu stale_edits=%llu stale_s=%llu publish_age_s=%llu "
-        "ready=%s converged=%s bound=%.3g warm=%s simd=%s\n",
+        "ready=%s converged=%s bound=%.3g warm=%s\n",
         static_cast<unsigned long long>(store_.version()),
         snapshot ? snapshot->scores().NumPairs() : 0,
         driver_->pending_edits(), driver_->policy().queue_capacity,
@@ -354,10 +353,7 @@ bool FSimService::HandleLine(std::string_view line, std::istream& in,
         snapshot && snapshot->meta().converged ? "yes" : "no",
         snapshot ? snapshot->meta().error_bound
                  : std::numeric_limits<double>::infinity(),
-        snapshot && snapshot->meta().warm_start ? "yes" : "no",
-        // Resolving here also refreshes the fsim_simd_level gauge for
-        // METRICS readers that never ran a dense solve.
-        simd::SimdLevelName(simd::ResolveSimdLevel(SimdMode::kAuto)));
+        snapshot && snapshot->meta().warm_start ? "yes" : "no");
     if (full) {
       for (const obs::HistogramEntry& entry :
            obs::Registry::Default().HistogramEntries()) {

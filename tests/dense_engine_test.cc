@@ -8,18 +8,22 @@
 // are order-exact (original positions key the tie-breaks), so only the
 // final additive reductions reassociate — far below the 1e-12 pin.
 //
-// Plus unit coverage for DenseFSimScores::TopK tie-breaking.
+// Plus unit coverage for DenseFSimScores::TopK tie-breaking, and a
+// differential of FSimScores::TopKInto against a full sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 
+#include "common/flat_pair_map.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/dense_engine.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
+#include "core/fsim_scores.h"
 #include "graph/graph_builder.h"
 
 namespace fsim {
@@ -143,29 +147,6 @@ TEST_P(DenseEngineOperatorSweep, IndexedMatchesLookupFallback) {
     ASSERT_NEAR(indexed->values()[i], fallback->values()[i], kTolerance)
         << "entry " << i;
   }
-
-  // Forced-scalar lockstep: FSIM_SIMD=off must reproduce the indexed run
-  // (whatever level auto resolved to) on every entry. The vectorized
-  // kernels are bit-identical by contract, so kTolerance is slack here;
-  // tests/simd_kernel_test.cc pins the max-family paths to exact equality.
-  config.neighbor_index_budget_bytes = 1ULL << 30;
-  const char* prev_env = std::getenv("FSIM_SIMD");
-  const std::string saved_env = prev_env ? prev_env : "";
-  setenv("FSIM_SIMD", "off", 1);
-  auto scalar = ComputeFSimDense(g, g, config);
-  if (prev_env) {
-    setenv("FSIM_SIMD", saved_env.c_str(), 1);
-  } else {
-    unsetenv("FSIM_SIMD");
-  }
-  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  EXPECT_EQ(scalar->stats().simd_level, 0u);
-  EXPECT_EQ(scalar->stats().iterations, indexed->stats().iterations);
-  ASSERT_EQ(scalar->values().size(), indexed->values().size());
-  for (size_t i = 0; i < indexed->values().size(); ++i) {
-    ASSERT_NEAR(scalar->values()[i], indexed->values()[i], kTolerance)
-        << "entry " << i;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -229,6 +210,49 @@ TEST(DenseEngineTest, TopKBreaksTiesByNodeId) {
   for (NodeId v = 0; v < 4; ++v) {
     EXPECT_EQ(row1[v].first, v);
     EXPECT_DOUBLE_EQ(row1[v].second, 0.2);
+  }
+
+  // The same ranking through FSimScores::TopKInto, whose warm heap skips
+  // every candidate below its top: random sparse rows drawn from five score
+  // levels (so ties are everywhere) against a full sort, with k at 1, 3,
+  // the row length and past it, appending behind existing entries.
+  Rng rng(0x70C);
+  constexpr NodeId kRows = 24;
+  constexpr NodeId kCols = 64;
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
+  FlatPairMap index;
+  for (NodeId u = 0; u < kRows; ++u) {
+    for (NodeId v = 0; v < kCols; ++v) {
+      if (!rng.NextBernoulli(0.6)) continue;
+      index.Insert(PairKey(u, v), static_cast<uint32_t>(keys.size()));
+      keys.push_back(PairKey(u, v));
+      values.push_back(0.25 * static_cast<double>(rng.NextBounded(5)));
+    }
+  }
+  const FSimScores sparse(std::move(keys), std::move(values), std::move(index),
+                          stats);
+  for (NodeId u = 0; u < kRows; ++u) {
+    auto ranked = sparse.Row(u);
+    std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
+      if (x.second != y.second) return x.second > y.second;
+      return x.first < y.first;
+    });
+    const size_t len = ranked.size();
+    for (size_t k : {size_t{1}, size_t{3}, len, len + 5}) {
+      const std::vector<std::pair<NodeId, double>> prefix = {{7, 2.0},
+                                                             {3, -1.0}};
+      std::vector<std::pair<NodeId, double>> out = prefix;
+      const size_t added = sparse.TopKInto(u, k, &out);
+      const size_t want = std::min(k, len);
+      ASSERT_EQ(added, want) << "u=" << u << " k=" << k;
+      ASSERT_EQ(out.size(), prefix.size() + want);
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+      for (size_t i = 0; i < want; ++i) {
+        EXPECT_EQ(out[prefix.size() + i], ranked[i])
+            << "u=" << u << " k=" << k << " rank " << i;
+      }
+    }
   }
 }
 

@@ -1,12 +1,15 @@
 // Tests for the extension components: the HHK-style efficient simulation
 // algorithm (equivalence with the naive fixpoint), single-source top-k
 // search (exactness of the localized computation + certified error bound),
-// score serialization round trips, and the IsoRank baseline.
+// score serialization round trips and mutation fuzz, and the IsoRank
+// baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "common/random.h"
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
 #include "core/topk_search.h"
@@ -202,6 +205,93 @@ TEST(ScoresIoTest, RejectsCorruptInput) {
   EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 2\n0 0 0.5\n0 0 0.6\n")
                   .status()
                   .IsIOError());  // duplicate pair
+  EXPECT_TRUE(
+      ScoresFromString("fsim-scores v1\npairs 18446744073709551615\n0 0 0.5\n")
+          .status()
+          .IsIOError());  // count beyond the input, never reserved
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs -1\n0 0 0.5\n")
+                  .status()
+                  .IsIOError());  // signed count
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 nan\n")
+                  .status()
+                  .IsIOError());  // non-finite score
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 -nan\n")
+                  .status()
+                  .IsIOError());  // non-finite score
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 inf\n")
+                  .status()
+                  .IsIOError());  // non-finite score
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n-1 0 0.5\n")
+                  .status()
+                  .IsIOError());  // signed node id
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 +1 0.5\n")
+                  .status()
+                  .IsIOError());  // signed node id
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n4294967296 0 0.5\n")
+                  .status()
+                  .IsIOError());  // node id beyond 32 bits
+  EXPECT_TRUE(
+      ScoresFromString("fsim-scores v1\npairs 1\n4294967295 4294967295 0.5\n")
+          .status()
+          .IsIOError());  // kInvalidNode (its self-pair is the empty key)
+  EXPECT_TRUE(ScoresFromString("fsim-scores v1\npairs 1\n0 0 0.5 7\n")
+                  .status()
+                  .IsIOError());  // trailing field
+}
+
+// Deterministic mutation fuzz: byte flips, truncations and line
+// duplications of a valid score file must each parse cleanly or fail with
+// an IOError — never abort — and an accepted file holds only scores in
+// [0, 1].
+TEST(ScoresIoTest, MutatedInputFailsCleanly) {
+  auto pair = testing::MakeRandomPair(0x5C0, 8, 9, 3);
+  auto scores = ComputeFSim(pair.g1, pair.g2, FSimConfig{});
+  ASSERT_TRUE(scores.ok());
+  const std::string valid = ScoresToString(*scores);
+  static constexpr char kAlphabet[] = "0123456789 \n\t-+.eEnaif\0x";
+  Rng rng(0xF422);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = valid;
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int m = 0; m < mutations && !text.empty(); ++m) {
+      const size_t pos = rng.NextBounded(text.size());
+      switch (rng.NextBounded(3)) {
+        case 0:  // byte flip: a random byte, or one the grammar reacts to
+          text[pos] = rng.NextBernoulli(0.5)
+                          ? static_cast<char>(rng.NextBounded(256))
+                          : kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)];
+          break;
+        case 1:  // truncation
+          text.resize(pos);
+          break;
+        default: {  // duplicate the line holding pos
+          const size_t begin = text.rfind('\n', pos);
+          const size_t start = begin == std::string::npos ? 0 : begin + 1;
+          const size_t end = text.find('\n', pos);
+          const size_t stop = end == std::string::npos ? text.size() : end;
+          const std::string line = text.substr(start, stop - start);
+          text.insert(stop, line);
+          text.insert(stop, 1, '\n');
+          break;
+        }
+      }
+    }
+    auto loaded = ScoresFromString(text);
+    if (!loaded.ok()) {
+      ASSERT_TRUE(loaded.status().IsIOError())
+          << "trial " << trial << ": " << loaded.status().ToString();
+      continue;
+    }
+    ++accepted;
+    for (double value : loaded->values()) {
+      ASSERT_TRUE(value >= 0.0 && value <= 1.0) << "trial " << trial;
+    }
+  }
+  // Some mutants (e.g. a flipped digit inside a score) stay valid; the
+  // fuzz must reach both outcomes to mean anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 4000u);
 }
 
 TEST(ScoresIoTest, AcceptsUnsortedInput) {

@@ -327,9 +327,6 @@ TEST(QueryEngineTest, BatchAnswersFromOneSnapshot) {
 // pair/top-k/threshold/batch queries, edits + flush, stats, malformed
 // requests, comments, and QUIT. The transcript pins the exact wire format.
 TEST(ServeLoopTest, GoldenTranscript) {
-  // Pin the STATS `simd=` field: the resolved kernel level is
-  // host-dependent under auto, and the transcript must not be.
-  setenv("FSIM_SIMD", "off", 1);
   const Graph g = MakeServeGraph();
   ServeOptions options;
   options.background_refresh = false;
@@ -422,9 +419,8 @@ TEST(ServeLoopTest, GoldenTranscript) {
       "STATS version=2 pairs=25 pending=0 capacity=0 applied=1 coalesced=0 "
       "failed=0 shed=0 replayed=0 publishes=2 persists=0 wal_durable=0 "
       "wal_applied=0 wal_pending=0 stale_edits=0 stale_s=0 publish_age_s=0 "
-      "ready=yes converged=yes bound=4.4e-06 warm=no simd=off\n"
+      "ready=yes converged=yes bound=4.4e-06 warm=no\n"
       "BYE\n";
-  unsetenv("FSIM_SIMD");
   EXPECT_EQ(out.str(), kExpected);
 }
 
@@ -462,10 +458,8 @@ TEST(ServeLoopTest, MetricsAndStatsFull) {
       std::string::npos);
   EXPECT_NE(reply.find("p99_us="), std::string::npos);
   EXPECT_NE(reply.find("\nEND\n"), std::string::npos);
-  // The STATS verb resolves the kernel level, which publishes the
-  // fsim_simd_level gauge for the METRICS exposition.
-  EXPECT_NE(reply.find(" simd="), std::string::npos);
-  EXPECT_NE(reply.find("fsim_simd_level"), std::string::npos);
+  // STATS reports only what the serving process uses: no kernel level.
+  EXPECT_EQ(reply.find(" simd="), std::string::npos);
   // Malformed STATS argument is rejected in-band.
   EXPECT_NE(reply.find("ERR usage: STATS [FULL]\n"), std::string::npos);
 

@@ -258,18 +258,6 @@ def test_simd_isolation_intrinsic_outside_simd_dir_fails():
         assert proc.stdout.count("simd-isolation") >= 3
 
 
-def test_simd_isolation_inside_simd_dir_passes():
-    with tempfile.TemporaryDirectory(dir=REPO_ROOT / "src" / "core" / "simd") as d:
-        path = write(Path(d), "k.cc", (
-            '#include "core/simd/kernels.h"\n'
-            "#include <immintrin.h>\n"
-            "double Sum(const double* p) {\n"
-            "  return _mm256_cvtsd_f64(_mm256_loadu_pd(p));\n"
-            "}\n"))
-        proc = run_lint(str(path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 def test_simd_isolation_allow_escape_suppresses():
     with tempfile.TemporaryDirectory(dir=REPO_ROOT / "bench") as d:
         path = write(Path(d), "t.cc", (
