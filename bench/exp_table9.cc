@@ -5,8 +5,11 @@
 // identity). Paper: FSim_b 97.6/96.9, FSim_bj 96.5/95.6, EWS 70.8/65.3,
 // FINAL 55.2/52.7, Olap ~38, 2-bisim 19.9/53.0, GSANA ~12-15, 4-bisim ~9-11,
 // exact bisimulation 0.
+#include <array>
 #include <cstdio>
 #include <functional>
+#include <map>
+#include <string>
 
 #include "align/alignment.h"
 #include "align/ews_align.h"
@@ -83,6 +86,8 @@ int main() {
   };
 
   TablePrinter table({"algorithm", "G1-G2", "G1-G3", "time G1-G2"});
+  // Measured F1 (%) per algorithm: {G1-G2, G1-G3}.
+  std::map<std::string, std::array<double, 2>> f1;
   for (const auto& algo : algos) {
     Timer timer;
     const double f12 =
@@ -92,6 +97,7 @@ int main() {
     const double f13 =
         100.0 * AlignmentF1(algo.run(versions.base, versions.v3),
                             versions.base.NumNodes());
+    f1[algo.name] = {f12, f13};
     char c12[48], c13[48];
     std::snprintf(c12, sizeof(c12), "%.1f [%.1f]", f12, algo.paper_g12);
     std::snprintf(c13, sizeof(c13), "%.1f [%.1f]", f13, algo.paper_g13);
@@ -103,5 +109,21 @@ int main() {
       "next; FINAL mid;\nOlap beats fixed-k bisimulation; exact bisimulation "
       "collapses to ~0; FSim_b edges out\nFSim_bj, making it the better "
       "alignment candidate (strength S2).\n");
+
+  // The FSim claims, each checked on both version pairs.
+  const auto verdict = [&](const char* claim, auto holds) {
+    const bool both = holds(0) && holds(1);
+    std::printf("measured: %-22s G1-G2 %s, G1-G3 %s -> %s\n", claim,
+                holds(0) ? "yes" : "no", holds(1) ? "yes" : "no",
+                both ? "shape holds" : "shape differs");
+  };
+  const auto& fsim_b = f1.at("FSim_b");
+  const auto& fsim_bj = f1.at("FSim_bj");
+  const auto& ews = f1.at("EWS");
+  verdict("FSim_b > 95", [&](int c) { return fsim_b[c] > 95.0; });
+  verdict("FSim_bj > 95", [&](int c) { return fsim_bj[c] > 95.0; });
+  verdict("FSim_b > EWS", [&](int c) { return fsim_b[c] > ews[c]; });
+  verdict("FSim_bj > EWS", [&](int c) { return fsim_bj[c] > ews[c]; });
+  verdict("FSim_b >= FSim_bj", [&](int c) { return fsim_b[c] >= fsim_bj[c]; });
   return 0;
 }

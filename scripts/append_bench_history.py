@@ -77,12 +77,19 @@ def main():
         refresh = serve.get("refresh", {})
         record["serve"] = {
             "pair_qps_1t": round(qps.get("threads_1", 0.0)),
+            "pair_qps_4t": round(qps.get("threads_4", 0.0)),
             "pair_qps_8t": round(qps.get("threads_8", 0.0)),
             "topk_cached_us": round(topk.get("cached_us", 0.0), 3),
             "topk_heap_us": round(topk.get("heap_select_us", 0.0), 3),
             "median_publish_ms": round(refresh.get("median_publish_ms", 0.0), 3),
             "median_flush_ms": round(refresh.get("median_flush_ms", 0.0), 3),
         }
+        # Reader scaling as a same-run ratio: 4 readers over 1 in one sweep,
+        # so a host that is fast or slow as a whole leaves it unchanged. Its
+        # name holds "qps", so the gate treats it as higher-is-better.
+        if qps.get("threads_1", 0.0) > 0 and "threads_4" in qps:
+            record["serve"]["pair_qps_4t_over_1t"] = round(
+                qps["threads_4"] / qps["threads_1"], 3)
         # Pooled batch throughput and the engine-thread refresh sweep: keyed
         # per thread count ("..._Nt" / "refresh_tN") so the gate's rolling
         # medians never mix runs at different counts.

@@ -13,10 +13,15 @@ the name: *_qps counters are higher-is-better, iteration counts ("iters"),
 thread counts ("num_threads"), ratio-style leaves ("*_fraction") and
 single-worst-sample latencies ("*_max_us") are informational only
 (skipped), everything else (seconds, ms, us) is lower-is-better — which
-automatically covers the serve per-verb p50/p99 latency leaves. Metrics need at least --min-history prior samples before
-they gate, so freshly added benchmarks ride along without failing; metrics
-that disappear from the current line are ignored (benchmarks can be
-retired).
+automatically covers the serve per-verb p50/p99 latency leaves. The
+same-run reader-scaling ratio "serve.pair_qps_4t_over_1t" (4-reader over
+1-reader pair throughput from one bench_serve sweep) carries "qps" in its
+name and so gates higher-is-better; being a ratio within one run, it
+catches readers that stop scaling even on a host that is uniformly faster
+or slower than the history. Metrics need at least --min-history prior
+samples before they gate, so freshly added benchmarks ride along without
+failing; metrics that disappear from the current line are ignored
+(benchmarks can be retired).
 
 Thread counts never mix: multi-thread runs carry "/tN"-suffixed metric
 names (fsim / incremental) or "_Nt" / "refresh_tN" keys (serve), so each
@@ -175,10 +180,22 @@ def self_test():
         {"label": "slow", "fsim": {"iterate_s": 2.0}}) + "\n"
     malformed = steady + "{not json\n"
 
+    def scaling(last):
+        lines = [json.dumps({"label": f"r{i}",
+                             "serve": {"pair_qps_4t_over_1t": 3.0}})
+                 for i in range(4)]
+        lines.append(json.dumps({"label": "now",
+                                 "serve": {"pair_qps_4t_over_1t": last}}))
+        return "\n".join(lines) + "\n"
+
     checks = [
         ("steady history passes", gate_on(steady), 0),
         ("25% regression fails", gate_on(regressed), 1),
         ("malformed line exits 2", gate_on(malformed), 2),
+        ("reader-scaling ratio is higher-is-better",
+         0 if higher_is_better("serve.pair_qps_4t_over_1t") else 1, 0),
+        ("reader-scaling ratio drop fails", gate_on(scaling(1.5)), 1),
+        ("reader-scaling ratio rise passes", gate_on(scaling(3.9)), 0),
         ("missing file passes", run_gate(argparse.Namespace(
             history="/nonexistent/bench.jsonl", threshold=0.2, window=10,
             min_history=3)), 0),

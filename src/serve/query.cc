@@ -30,7 +30,7 @@ std::vector<std::pair<NodeId, double>> CachePrefixTopK(
 }
 
 constexpr char kLatencyHelp[] =
-    "End-to-end query latency by verb (snapshot acquire + answer)";
+    "End-to-end query latency by verb (snapshot pin or acquire + answer)";
 
 }  // namespace
 
@@ -103,7 +103,7 @@ Result<QueryResult> QueryEngine::Run(const Query& query) const {
           : (query.kind == Query::Kind::kTopK ? latency_topk_
                                               : latency_thresh_);
   obs::ScopedLatencyTimer timer(latency);
-  SnapshotPtr snapshot = store_->Acquire();
+  const FSimSnapshot* snapshot = store_->Pin();
   if (snapshot == nullptr) {
     return Status::NotFound("no snapshot published yet");
   }

@@ -1,7 +1,8 @@
-// Concurrent query API over the published snapshots: every call acquires
-// the current snapshot once and answers entirely against it, so a single
-// query — and every query of one batch — observes one consistent score
-// version even while the refresh driver publishes new ones underneath.
+// Concurrent query API over the published snapshots: every call reads the
+// current snapshot once (Run through the thread's pin, RunBatch through one
+// owning Acquire) and answers entirely against it, so a single query — and
+// every query of one batch — observes one consistent score version even
+// while the refresh driver publishes new ones underneath.
 //
 // Deadline budgets (overload degradation, docs/serving.md): a query may
 // carry a time budget. Once the budget is exhausted — typically midway
@@ -55,12 +56,15 @@ struct QueryResult {
 };
 
 /// Stateless facade over a SnapshotStore. Safe to share across any number
-/// of reader threads; never blocks (snapshot acquisition is an atomic
-/// load). An optional ThreadPool fans large RunBatch calls out across
-/// workers — sound because every query of a batch reads the same acquired
-/// snapshot and writes only its own result slot. The pool must not be
-/// shared with concurrent ParallelFor callers (ThreadPool regions are
-/// exclusive); single queries never touch it.
+/// of reader threads. Run reads through SnapshotStore::Pin: while the
+/// published version is unchanged, a query's only access to the store is
+/// one load, it never waits and writes nothing the store shares. RunBatch
+/// takes one owning Acquire per batch, which can spin briefly on the
+/// atomic's lock bit (see SnapshotStore). An optional ThreadPool fans large
+/// RunBatch calls out across workers — sound because every query of a
+/// batch reads the same acquired snapshot and writes only its own result
+/// slot. The pool must not be shared with concurrent ParallelFor callers
+/// (ThreadPool regions are exclusive); single queries never touch it.
 class QueryEngine {
  public:
   using Clock = std::chrono::steady_clock;
@@ -71,8 +75,10 @@ class QueryEngine {
 
   explicit QueryEngine(const SnapshotStore* store, ThreadPool* pool = nullptr);
 
-  /// Answers one query against the current snapshot. NotFound when no
-  /// snapshot has been published yet. Honors query.budget_ms.
+  /// Answers one query against the current snapshot, read through this
+  /// thread's pin (SnapshotStore::Pin; the pin may keep one superseded
+  /// snapshot alive until the thread's next query or exit). NotFound when
+  /// no snapshot has been published yet. Honors query.budget_ms.
   Result<QueryResult> Run(const Query& query) const;
 
   /// Answers all queries against ONE acquired snapshot (cross-query

@@ -82,6 +82,41 @@ std::vector<std::pair<NodeId, double>> FSimSnapshot::ThresholdNeighbors(
   return out;
 }
 
+namespace {
+
+// Store ids start at 1, so the empty pin (id 0) matches no store.
+// ordering: relaxed fetch_add — ids need only be unique.
+std::atomic<uint64_t> next_store_id{0};
+
+// One pin per thread, shared by every store the thread queries: a query on
+// another store, or after a publish, replaces it.
+struct ThreadPin {
+  uint64_t store_id = 0;
+  uint64_t version = 0;
+  SnapshotPtr snapshot;
+};
+thread_local ThreadPin thread_pin;
+
+}  // namespace
+
+SnapshotStore::SnapshotStore()
+    : id_(next_store_id.fetch_add(1, std::memory_order_relaxed) + 1) {}
+
+const FSimSnapshot* SnapshotStore::Pin() const {
+  ThreadPin& pin = thread_pin;
+  const uint64_t published =
+      published_version_.load(std::memory_order_acquire);
+  if (pin.store_id == id_ && pin.version == published) {
+    return pin.snapshot.get();
+  }
+  // Publish stores current_ before published_version_, so this load sees
+  // `published` or a newer version, never an older one.
+  pin.snapshot = current_.load();
+  pin.store_id = id_;
+  pin.version = pin.snapshot != nullptr ? pin.snapshot->meta().version : 0;
+  return pin.snapshot.get();
+}
+
 bool SnapshotStore::Publish(SnapshotPtr snapshot) {
   FSIM_CHECK(snapshot != nullptr) << "Publish of a null snapshot";
   std::lock_guard<std::mutex> lock(publish_mu_);

@@ -2,10 +2,12 @@
 // serving layer (serve/service.h). A snapshot freezes one FSimScores table
 // (shared, never copied after freeze), precomputes a per-node top-k cache so
 // the hot TopK query never rescans a row, and carries version/provenance
-// metadata. SnapshotStore is the publish/acquire rendezvous: publishing
-// atomically swaps the current snapshot, acquiring is a lock-free refcount
-// bump, so readers never block and a snapshot stays alive until its last
-// reader drops it.
+// metadata. SnapshotStore is the publish/read rendezvous: publishing swaps
+// the current snapshot under the publisher mutex; a single query reads it
+// through a per-thread pin that costs one shared load and no shared write
+// while the version is unchanged, and an owning Acquire() hands out a
+// reference for batches. A snapshot stays alive until its last reference —
+// the store's, a reader's, or a thread's pin — drops it.
 #ifndef FSIM_SERVE_SNAPSHOT_H_
 #define FSIM_SERVE_SNAPSHOT_H_
 
@@ -103,13 +105,30 @@ class FSimSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const FSimSnapshot>;
 
-/// The publish/acquire point between one publisher (the refresh driver) and
-/// any number of concurrent readers. Acquire is a single atomic
-/// shared_ptr load — wait-free for readers, and the returned reference
-/// keeps that snapshot version alive for the reader's whole request even
-/// while newer versions are published over it.
+/// The publish/read point between one publisher (the refresh driver) and
+/// any number of concurrent readers. Readers have two ways in:
+///
+///  * Pin() — for one query at a time. Each thread keeps one pin (store id,
+///    version, owning reference). While the pin names this store and the
+///    published version is unchanged, Pin() is one acquire-load of
+///    `published_version_`, whose cache line only Publish writes; no shared
+///    memory is written. Otherwise it re-pins with one Acquire().
+///  * Acquire() — an owning reference, for callers that hold a snapshot
+///    across many answers (RunBatch, BATCH, STATS). It is a
+///    std::atomic<shared_ptr> load, which libstdc++ guards with a spin-lock
+///    bit in the atomic's own word: a load spins while another load or a
+///    Publish holds the bit, and every load writes that word and the
+///    snapshot's refcount (released again when the reference drops), so
+///    concurrent acquirers contend on shared cache lines.
+///
+/// Retention: a pin keeps its snapshot alive, so a thread that stops
+/// querying holds at most one superseded snapshot until its next Pin() (on
+/// any store) or its exit. The thread whose re-pin drops the last reference
+/// destroys that snapshot.
 class SnapshotStore {
  public:
+  SnapshotStore();
+
   /// Hands out the next version number; builders stamp their SnapshotMeta
   /// with it before constructing the snapshot.
   uint64_t NextVersion() { return next_version_.fetch_add(1) + 1; }
@@ -121,9 +140,15 @@ class SnapshotStore {
   /// current.
   bool Publish(SnapshotPtr snapshot);
 
-  /// The current snapshot, or nullptr before the first publish. Never
-  /// blocks.
+  /// The current snapshot, or nullptr before the first publish. The
+  /// reference keeps that version alive for as long as the caller holds
+  /// it, even while newer versions are published over it.
   SnapshotPtr Acquire() const { return current_.load(); }
+
+  /// The current snapshot through this thread's pin, or nullptr before the
+  /// first publish. The pointer stays valid until this thread's next Pin()
+  /// on any store, or its exit; do not keep it past the query at hand.
+  const FSimSnapshot* Pin() const;
 
   /// Version of the current snapshot (0 before the first publish).
   uint64_t version() const { return published_version_.load(); }
@@ -155,15 +180,22 @@ class SnapshotStore {
   // guards: version_chain_, and serializes publishers (current_ and the
   // version counters stay atomics so readers never take it).
   mutable std::mutex publish_mu_;
-  // ordering: seq_cst store/load — publishing must not reorder past the
-  // version bump; Acquire is the readers' wait-free load.
+  // ordering: seq_cst store/load — Publish stores it before
+  // published_version_, so a reader that sees a version sees its snapshot.
   std::atomic<SnapshotPtr> current_;
   std::atomic<uint64_t> next_version_{0};       // ordering: fetch_add ticket
-  std::atomic<uint64_t> published_version_{0};  // ordering: behind publish_mu_
   std::atomic<size_t> publish_count_{0};        // ordering: relaxed telemetry
   // The last kVersionChainCapacity published versions, oldest first — the
   // "chain" ValidateChain() audits.
   std::vector<uint64_t> version_chain_;
+  // The line every Pin() reads: its own 64-byte line, written only by
+  // Publish, so the lock bit of current_ and the ticket and telemetry
+  // counters never invalidate it. id_ is immutable and read alongside.
+  // ordering: seq_cst store after current_; Pin loads it with acquire.
+  alignas(64) std::atomic<uint64_t> published_version_{0};
+  // Process-unique, never reused: a store built at a destroyed store's
+  // address must not match pins taken on the old one.
+  const uint64_t id_;
 };
 
 }  // namespace fsim

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -159,37 +161,46 @@ TEST(SnapshotStoreTest, PublishAcquireVersions) {
   EXPECT_EQ(store.publish_count(), 1u);
 }
 
+// Side of the all-pairs score tables ConstantSnapshot builds.
+constexpr uint32_t kSide = 12;
+// Top-k cache depth of those snapshots.
+constexpr size_t kConstantCacheK = 4;
+
+/// A kSide x kSide all-pairs snapshot whose every score is `value`: any
+/// mix of values, or a cache disagreeing with the table, exposes a torn or
+/// mismatched read.
+SnapshotPtr ConstantSnapshot(uint64_t version, double value) {
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
+  FlatPairMap index(kSide * kSide);
+  for (uint32_t u = 0; u < kSide; ++u) {
+    for (uint32_t v = 0; v < kSide; ++v) {
+      index.Insert(PairKey(u, v), static_cast<uint32_t>(keys.size()));
+      keys.push_back(PairKey(u, v));
+      values.push_back(value);
+    }
+  }
+  SnapshotMeta meta;
+  meta.version = version;
+  return std::make_shared<const FSimSnapshot>(
+      FreezeScores(FSimScores(std::move(keys), std::move(values),
+                              std::move(index), FSimStats{})),
+      kConstantCacheK, meta);
+}
+
+/// The constant every score of version `version` carries in the
+/// publisher-stress tests.
+double VersionValue(uint64_t version) {
+  return static_cast<double>(version % 97) / 96.0;
+}
+
 // Readers must never observe a torn snapshot. Every published snapshot is
 // internally consistent by construction (all scores equal one
 // version-derived constant); a reader seeing mixed values, or a top-k
 // cache disagreeing with the score table, caught a torn publish.
 TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
-  constexpr uint32_t kSide = 12;
   constexpr uint64_t kMinReads = 2000;    // validated reader passes required
   constexpr uint64_t kMaxPublishes = 5'000'000;  // anti-hang safety valve
-  auto value_of = [](uint64_t version) {
-    return static_cast<double>(version % 97) / 96.0;
-  };
-  auto make_snapshot = [&](uint64_t version) {
-    const double value = value_of(version);
-    std::vector<uint64_t> keys;
-    std::vector<double> values;
-    FlatPairMap index(kSide * kSide);
-    for (uint32_t u = 0; u < kSide; ++u) {
-      for (uint32_t v = 0; v < kSide; ++v) {
-        index.Insert(PairKey(u, v), static_cast<uint32_t>(keys.size()));
-        keys.push_back(PairKey(u, v));
-        values.push_back(value);
-      }
-    }
-    SnapshotMeta meta;
-    meta.version = version;
-    return std::make_shared<const FSimSnapshot>(
-        FreezeScores(FSimScores(std::move(keys), std::move(values),
-                                std::move(index), FSimStats{})),
-        /*cache_k=*/4, meta);
-  };
-
   SnapshotStore store;
   std::atomic<bool> done{false};
   std::atomic<uint64_t> torn{0};
@@ -201,14 +212,14 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
       while (!done.load()) {
         const SnapshotPtr snap = store.Acquire();
         if (snap == nullptr) continue;
-        const double want = value_of(snap->meta().version);
+        const double want = VersionValue(snap->meta().version);
         bool ok = true;
         for (double value : snap->scores().values()) {
           ok = ok && value == want;
         }
         for (uint32_t u = 0; u < kSide; ++u) {
           const auto cached = snap->CachedTopK(u);
-          ok = ok && cached.size() == 4;
+          ok = ok && cached.size() == kConstantCacheK;
           for (const auto& [v, score] : cached) {
             ok = ok && score == want && score == snap->PairScore(u, v);
           }
@@ -223,7 +234,8 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
   // snapshots concurrently with the swaps (the interesting interleaving).
   uint64_t publishes = 0;
   while (reads.load() < kMinReads && publishes < kMaxPublishes) {
-    ASSERT_TRUE(store.Publish(make_snapshot(store.NextVersion())));
+    const uint64_t version = store.NextVersion();
+    ASSERT_TRUE(store.Publish(ConstantSnapshot(version, VersionValue(version))));
     ++publishes;
   }
   done.store(true);
@@ -231,6 +243,136 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_GE(reads.load(), kMinReads);
   EXPECT_EQ(store.version(), publishes);
+}
+
+// Single queries read through the thread's pin. Four threads call Run
+// against a publisher swapping versions: every answer must carry its own
+// version's constant (a pin never pairs one version's number with another
+// version's scores), and each thread's versions must never decrease.
+TEST(SnapshotStoreTest, PinnedRunsMatchTheirVersionUnderPublish) {
+  constexpr uint64_t kMinRuns = 20'000;          // answered Runs required
+  constexpr uint64_t kMinVersionChanges = 200;   // re-pins seen by readers
+  constexpr uint64_t kMaxPublishes = 5'000'000;  // anti-hang safety valve
+  SnapshotStore store;
+  const QueryEngine engine(&store);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> runs{0};
+  std::atomic<uint64_t> version_changes{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> regressions{0};
+
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t last_version = 0;
+      for (uint32_t i = 0; !done.load(); ++i) {
+        Query query;
+        query.u = (r + i) % kSide;
+        if (i % 8 == 0) {
+          query.kind = Query::Kind::kTopK;
+          query.k = kConstantCacheK;
+        } else {
+          query.v = i % kSide;
+        }
+        const Result<QueryResult> result = engine.Run(query);
+        if (!result.ok()) continue;  // nothing published yet
+        const double want = VersionValue(result->version);
+        bool ok = query.kind == Query::Kind::kPair
+                      ? result->score == want
+                      : result->entries.size() == kConstantCacheK;
+        for (const auto& entry : result->entries) {
+          ok = ok && entry.second == want;
+        }
+        if (!ok) mismatches.fetch_add(1);
+        if (result->version < last_version) regressions.fetch_add(1);
+        if (result->version != last_version) version_changes.fetch_add(1);
+        last_version = result->version;
+        runs.fetch_add(1);
+      }
+    });
+  }
+
+  uint64_t publishes = 0;
+  while ((runs.load() < kMinRuns ||
+          version_changes.load() < kMinVersionChanges) &&
+         publishes < kMaxPublishes) {
+    const uint64_t version = store.NextVersion();
+    ASSERT_TRUE(store.Publish(ConstantSnapshot(version, VersionValue(version))));
+    ++publishes;
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GE(runs.load(), kMinRuns);
+  EXPECT_GE(version_changes.load(), kMinVersionChanges);
+}
+
+// Pins are keyed by a process-unique store id, not by the store's address:
+// a store built where a destroyed one lived restarts its versions at the
+// same numbers, and must still never serve the old store's pinned snapshot.
+TEST(SnapshotStoreTest, PinIsKeyedByStoreNotAddress) {
+  std::optional<SnapshotStore> store;
+  store.emplace();
+  const SnapshotStore* const address = &*store;
+  const QueryEngine engine(address);
+  Query query;  // PAIR (0, 0)
+
+  ASSERT_TRUE(store->Publish(ConstantSnapshot(store->NextVersion(), 0.25)));
+  const Result<QueryResult> first = engine.Run(query);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->version, 1u);
+  EXPECT_EQ(first->score, 0.25);
+
+  // A second store at the same address: nothing to serve before its first
+  // publish, then its own score.
+  store.emplace();
+  ASSERT_EQ(&*store, address);
+  EXPECT_TRUE(engine.Run(query).status().IsNotFound());
+  ASSERT_TRUE(store->Publish(ConstantSnapshot(store->NextVersion(), 0.75)));
+  const Result<QueryResult> second = engine.Run(query);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->version, 1u);
+  EXPECT_EQ(second->score, 0.75);
+
+  // A third store at the same address, first queried after its first
+  // publish: address and version both equal the pin's, only the id
+  // differs.
+  store.emplace();
+  ASSERT_EQ(&*store, address);
+  ASSERT_TRUE(store->Publish(ConstantSnapshot(store->NextVersion(), 0.5)));
+  const Result<QueryResult> third = engine.Run(query);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third->version, 1u);
+  EXPECT_EQ(third->score, 0.5);
+}
+
+// A pin owns its snapshot, so it outlives the store it was taken on; the
+// thread's next query on another store releases it without touching the
+// destroyed store (the ASan leg checks the release).
+TEST(SnapshotStoreTest, PinOutlivesItsStore) {
+  Query query;  // PAIR (0, 0)
+  std::weak_ptr<const FSimSnapshot> pinned;
+  {
+    SnapshotStore old_store;
+    SnapshotPtr snapshot = ConstantSnapshot(old_store.NextVersion(), 0.25);
+    pinned = snapshot;
+    ASSERT_TRUE(old_store.Publish(std::move(snapshot)));
+    const QueryEngine engine(&old_store);
+    const Result<QueryResult> result = engine.Run(query);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->score, 0.25);
+  }
+  // The store is gone; this thread's pin holds the only reference.
+  EXPECT_EQ(pinned.use_count(), 1);
+
+  SnapshotStore store;
+  ASSERT_TRUE(store.Publish(ConstantSnapshot(store.NextVersion(), 0.75)));
+  const QueryEngine engine(&store);
+  const Result<QueryResult> result = engine.Run(query);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->score, 0.75);
+  EXPECT_TRUE(pinned.expired());
 }
 
 TEST(RefreshDriverTest, CoalescesBurstsAndHonorsPublishPolicy) {
