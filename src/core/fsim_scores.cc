@@ -1,35 +1,74 @@
 #include "core/fsim_scores.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "common/check.h"
 
 namespace fsim {
 
 namespace {
 
-/// Descending score, ties broken by ascending node id — the ranking order of
-/// every top-k surface (FSimScores::TopK, the snapshot top-k cache).
-inline bool RanksBefore(const std::pair<NodeId, double>& a,
-                        const std::pair<NodeId, double>& b) {
-  if (a.second != b.second) return a.second > b.second;
-  return a.first < b.first;
+/// The key set of default-constructed and moved-from scores.
+const SharedPairKeySet& EmptyKeySet() {
+  static const SharedPairKeySet empty = PairKeySet::Make({}, FlatPairMap());
+  return empty;
 }
 
 }  // namespace
 
+std::shared_ptr<const PairKeySet> PairKeySet::Make(std::vector<uint64_t> keys,
+                                                   FlatPairMap index,
+                                                   size_t num_rows) {
+  auto set = std::make_shared<PairKeySet>();
+  if (!keys.empty()) {
+    num_rows = std::max<size_t>(num_rows, PairFirst(keys.back()) + 1);
+  }
+  set->row_offsets.assign(num_rows + 1, 0);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    FSIM_DCHECK(i == 0 || keys[i - 1] < keys[i])
+        << "pair keys are not sorted u-major";
+    ++set->row_offsets[PairFirst(keys[i]) + 1];
+  }
+  for (size_t u = 0; u < num_rows; ++u) {
+    set->row_offsets[u + 1] += set->row_offsets[u];
+  }
+  set->keys = std::move(keys);
+  set->index = std::move(index);
+  return set;
+}
+
+FSimScores::FSimScores() : key_set_(EmptyKeySet()) {}
+
 FSimScores::FSimScores(std::vector<uint64_t> keys, std::vector<double> values,
                        FlatPairMap index, FSimStats stats)
-    : keys_(std::move(keys)),
+    : key_set_(PairKeySet::Make(std::move(keys), std::move(index))),
       values_(std::move(values)),
-      index_(std::move(index)),
       stats_(std::move(stats)) {}
 
-std::pair<size_t, size_t> FSimScores::RangeOf(NodeId u) const {
-  const uint64_t lo = PairKey(u, 0);
-  const uint64_t hi = PairKey(u, ~0U);
-  auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
-  auto last = std::upper_bound(keys_.begin(), keys_.end(), hi);
-  return {static_cast<size_t>(first - keys_.begin()),
-          static_cast<size_t>(last - keys_.begin())};
+FSimScores::FSimScores(SharedPairKeySet key_set, std::vector<double> values,
+                       FSimStats stats)
+    : key_set_(std::move(key_set)),
+      values_(std::move(values)),
+      stats_(std::move(stats)) {
+  FSIM_DCHECK(values_.size() == key_set_->keys.size());
+}
+
+FSimScores::FSimScores(FSimScores&& other) noexcept
+    : key_set_(std::exchange(other.key_set_, EmptyKeySet())),
+      values_(std::move(other.values_)),
+      stats_(std::move(other.stats_)) {
+  other.values_.clear();
+}
+
+FSimScores& FSimScores::operator=(FSimScores&& other) noexcept {
+  if (this != &other) {
+    key_set_ = std::exchange(other.key_set_, EmptyKeySet());
+    values_ = std::move(other.values_);
+    other.values_.clear();
+    stats_ = std::move(other.stats_);
+  }
+  return *this;
 }
 
 std::vector<std::pair<NodeId, double>> FSimScores::TopK(NodeId u,
@@ -43,7 +82,8 @@ size_t FSimScores::TopKInto(
     NodeId u, size_t k, std::vector<std::pair<NodeId, double>>* out) const {
   const size_t base = out->size();
   if (k == 0) return 0;
-  auto [first, last] = RangeOf(u);
+  auto [first, last] = key_set_->RowRange(u);
+  const std::vector<uint64_t>& keys = key_set_->keys;
 
   // Bounded min-heap over out's tail: the heap top (out[base]) is the
   // currently weakest kept entry under the ranking order, so a candidate
@@ -62,7 +102,7 @@ size_t FSimScores::TopKInto(
       const double top = (*out)[base].second;
       while (i < last && values_[i] < top) ++i;
       if (i >= last) break;
-      const std::pair<NodeId, double> entry{PairSecond(keys_[i]), values_[i]};
+      const std::pair<NodeId, double> entry{PairSecond(keys[i]), values_[i]};
       if (RanksBefore(entry, (*out)[base])) {
         std::pop_heap(out->begin() + base, out->end(), heap_cmp);
         out->back() = entry;
@@ -70,7 +110,7 @@ size_t FSimScores::TopKInto(
       }
       ++i;
     } else {
-      out->emplace_back(PairSecond(keys_[i]), values_[i]);
+      out->emplace_back(PairSecond(keys[i]), values_[i]);
       std::push_heap(out->begin() + base, out->end(), heap_cmp);
       ++i;
     }
@@ -80,11 +120,12 @@ size_t FSimScores::TopKInto(
 }
 
 std::vector<std::pair<NodeId, double>> FSimScores::Row(NodeId u) const {
-  auto [first, last] = RangeOf(u);
+  auto [first, last] = key_set_->RowRange(u);
+  const std::vector<uint64_t>& keys = key_set_->keys;
   std::vector<std::pair<NodeId, double>> row;
   row.reserve(last - first);
   for (size_t i = first; i < last; ++i) {
-    row.emplace_back(PairSecond(keys_[i]), values_[i]);
+    row.emplace_back(PairSecond(keys[i]), values_[i]);
   }
   return row;
 }

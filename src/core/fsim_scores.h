@@ -60,27 +60,65 @@ struct FSimStats {
   uint32_t full_sweep_iterations = 0;
 };
 
-/// Immutable score container. Pairs are sorted (u-major), so all scores for
-/// one u form a contiguous range.
+/// The immutable pair set of a score table: the u-major sorted keys, the
+/// key -> position index, and each row's range of positions. Edge edits
+/// never change the θ-compatible pair set, so IncrementalFSim builds one at
+/// Create and every score copy and snapshot taken from it shares that one
+/// object; copying such scores copies only the values.
+struct PairKeySet {
+  std::vector<uint64_t> keys;  // sorted u-major
+  FlatPairMap index;           // key -> position in keys
+  // Row u holds positions [row_offsets[u], row_offsets[u + 1]); never empty.
+  std::vector<uint32_t> row_offsets{0};
+
+  /// Freezes `keys` (sorted u-major) with their position index, deriving
+  /// row ranges for rows [0, max(num_rows, 1 + largest u in keys)).
+  static std::shared_ptr<const PairKeySet> Make(std::vector<uint64_t> keys,
+                                                FlatPairMap index,
+                                                size_t num_rows = 0);
+
+  size_t NumRows() const { return row_offsets.size() - 1; }
+
+  /// [first, last) positions of row u; empty past the last row.
+  std::pair<size_t, size_t> RowRange(NodeId u) const {
+    if (u >= NumRows()) return {0, 0};
+    return {row_offsets[u], row_offsets[u + 1]};
+  }
+};
+
+using SharedPairKeySet = std::shared_ptr<const PairKeySet>;
+
+/// Immutable score container: a shared key set plus this table's own
+/// values (values()[i] scores keys()[i]). Pairs are sorted (u-major), so
+/// all scores for one u form a contiguous range.
 class FSimScores {
  public:
-  FSimScores() = default;
+  FSimScores();
+  /// Wraps `keys` (sorted u-major) and their index into a fresh key set.
   FSimScores(std::vector<uint64_t> keys, std::vector<double> values,
              FlatPairMap index, FSimStats stats);
+  /// Scores over an existing key set; copies nothing of it.
+  FSimScores(SharedPairKeySet key_set, std::vector<double> values,
+             FSimStats stats);
+  FSimScores(const FSimScores&) = default;
+  FSimScores& operator=(const FSimScores&) = default;
+  /// Moves leave the source empty (no pairs), not keyless.
+  FSimScores(FSimScores&& other) noexcept;
+  FSimScores& operator=(FSimScores&& other) noexcept;
 
   /// FSimχ(u, v); 0 for pairs outside the maintained candidate set.
   double Score(NodeId u, NodeId v) const {
-    uint32_t idx = index_.Find(PairKey(u, v));
+    uint32_t idx = key_set_->index.Find(PairKey(u, v));
     return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
   }
 
   /// True if (u,v) was maintained (score 0 is then a real score, not a
   /// missing pair).
   bool Contains(NodeId u, NodeId v) const {
-    return index_.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
+    return key_set_->index.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
   }
 
-  size_t NumPairs() const { return keys_.size(); }
+  size_t NumPairs() const { return key_set_->keys.size(); }
 
   /// The k highest-scoring v for a fixed u, descending (ties by node id).
   /// This is the paper's future-work top-k similarity query, answerable
@@ -97,19 +135,25 @@ class FSimScores {
   /// All (v, score) for one u (unsorted by score; ascending v).
   std::vector<std::pair<NodeId, double>> Row(NodeId u) const;
 
-  const std::vector<uint64_t>& keys() const { return keys_; }
+  const std::vector<uint64_t>& keys() const { return key_set_->keys; }
   const std::vector<double>& values() const { return values_; }
   const FSimStats& stats() const { return stats_; }
+  /// The shared key set; scores taken from one engine share one pointer.
+  const SharedPairKeySet& key_set() const { return key_set_; }
 
  private:
-  /// [first, last) range of indices whose key has high word u.
-  std::pair<size_t, size_t> RangeOf(NodeId u) const;
-
-  std::vector<uint64_t> keys_;
+  SharedPairKeySet key_set_;
   std::vector<double> values_;
-  FlatPairMap index_;
   FSimStats stats_;
 };
+
+/// Descending score, ties broken by ascending node id — the ranking order of
+/// every top-k surface (FSimScores::TopK, the snapshot top-k cache).
+inline bool RanksBefore(const std::pair<NodeId, double>& a,
+                        const std::pair<NodeId, double>& b) {
+  if (a.second != b.second) return a.second > b.second;
+  return a.first < b.first;
+}
 
 /// A frozen, shareable score container. Snapshot-based consumers (the
 /// serving layer) hold one of these per version; copies are refcount bumps.

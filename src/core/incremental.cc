@@ -67,49 +67,42 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
       PairStore store,
       PairStore::Build(g1, g2, inc.config_, inc.lsim_,
                        /*build_neighbor_index=*/false));
-  // Move the initialized candidate set into the mutable single-buffer table;
-  // prev_ holds the FSim^0 initialization right after Build.
-  inc.keys_ = store.TakeKeys();
+  // Freeze the initialized candidate set into the shared key set (row
+  // ranges over every node of graph 1) and move the FSim^0 initialization
+  // into the mutable score table.
+  inc.key_set_ = PairKeySet::Make(store.TakeKeys(), store.TakeIndex(),
+                                  inc.g1_.NumNodes());
   inc.values_ = store.TakeScores();
-  inc.index_ = store.TakeIndex();
+  const std::vector<uint64_t>& keys = inc.key_set_->keys;
 
-  // Row ranges (keys_ are sorted u-major) and the v-grouped CSR.
-  const size_t n1 = inc.g1_.NumNodes();
+  // The v-grouped CSR (rows come with the key set).
   const size_t n2 = inc.g2_.NumNodes();
-  inc.row_offsets_.assign(n1 + 1, 0);
   std::vector<uint32_t> col_counts(n2, 0);
-  for (uint64_t key : inc.keys_) {
-    ++inc.row_offsets_[PairFirst(key) + 1];
-    ++col_counts[PairSecond(key)];
-  }
-  for (size_t u = 0; u < n1; ++u) {
-    inc.row_offsets_[u + 1] += inc.row_offsets_[u];
-  }
+  for (uint64_t key : keys) ++col_counts[PairSecond(key)];
   inc.col_offsets_.assign(n2 + 1, 0);
   for (size_t v = 0; v < n2; ++v) {
     inc.col_offsets_[v + 1] = inc.col_offsets_[v] + col_counts[v];
   }
-  inc.col_pairs_.resize(inc.keys_.size());
+  inc.col_pairs_.resize(keys.size());
   std::vector<uint32_t> cursor(inc.col_offsets_.begin(),
                                inc.col_offsets_.end() - 1);
-  for (size_t i = 0; i < inc.keys_.size(); ++i) {
-    inc.col_pairs_[cursor[PairSecond(inc.keys_[i])]++] =
-        static_cast<uint32_t>(i);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    inc.col_pairs_[cursor[PairSecond(keys[i])]++] = static_cast<uint32_t>(i);
   }
 
-  inc.in_queue_.assign(inc.keys_.size(), 0);
-  inc.dirty_dir_.assign(inc.keys_.size(), 0);
-  inc.pending_out_.assign(inc.keys_.size(), 0.0);
-  inc.pending_in_.assign(inc.keys_.size(), 0.0);
-  inc.out_cache_.assign(inc.keys_.size(), 0.0);
-  inc.in_cache_.assign(inc.keys_.size(), 0.0);
-  inc.influence_factor_out_.resize(inc.keys_.size());
-  inc.influence_factor_in_.resize(inc.keys_.size());
-  inc.const_term_.resize(inc.keys_.size());
+  inc.in_queue_.assign(keys.size(), 0);
+  inc.dirty_dir_.assign(keys.size(), 0);
+  inc.pending_out_.assign(keys.size(), 0.0);
+  inc.pending_in_.assign(keys.size(), 0.0);
+  inc.out_cache_.assign(keys.size(), 0.0);
+  inc.in_cache_.assign(keys.size(), 0.0);
+  inc.influence_factor_out_.resize(keys.size());
+  inc.influence_factor_in_.resize(keys.size());
+  inc.const_term_.resize(keys.size());
   const double label_weight = 1.0 - inc.config_.w_out - inc.config_.w_in;
-  for (size_t i = 0; i < inc.keys_.size(); ++i) {
-    const NodeId u = PairFirst(inc.keys_[i]);
-    const NodeId v = PairSecond(inc.keys_[i]);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const NodeId u = PairFirst(keys[i]);
+    const NodeId v = PairSecond(keys[i]);
     inc.influence_factor_out_[i] =
         InfluenceFactor(inc.op_, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v));
     inc.influence_factor_in_[i] =
@@ -128,12 +121,12 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
     }
     inc.const_term_[i] = label_weight * label_term;
   }
-  inc.nbr_index_.Build(inc.IndexEnv(), inc.keys_, inc.config_);
+  inc.nbr_index_.Build(inc.IndexEnv(), keys, inc.config_);
   // Warm start: overwrite the FSim^0 initialization with the seed's values
   // when the keysets agree exactly. Any mismatch (different graphs, config,
   // or a truncated snapshot) keeps the cold initialization — correctness
   // never depends on the seed, only the solve's iteration count does.
-  if (warm_seed != nullptr && warm_seed->keys() == inc.keys_) {
+  if (warm_seed != nullptr && warm_seed->keys() == keys) {
     inc.values_ = warm_seed->values();
   }
   inc.SolveFull();
@@ -142,8 +135,8 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
 
 double IncrementalFSim::ComputeDirection(size_t i, int dir,
                                          MatchingScratch* scratch) {
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
+  const NodeId u = PairFirst(key_set_->keys[i]);
+  const NodeId v = PairSecond(key_set_->keys[i]);
   if (nbr_index_.enabled()) {
     const double* vals = values_.data();
     auto score_of = [vals](uint32_t ref) -> double { return vals[ref]; };
@@ -162,7 +155,7 @@ double IncrementalFSim::ComputeDirection(size_t i, int dir,
     if (!lsim_.Compatible(g1_.Label(x), g2_.Label(y), config_.theta)) {
       return -1.0;
     }
-    uint32_t idx = index_.Find(PairKey(x, y));
+    uint32_t idx = key_set_->index.Find(PairKey(x, y));
     return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
   };
   if (dir == IncrementalNeighborIndex::kOut) {
@@ -175,8 +168,8 @@ double IncrementalFSim::ComputeDirection(size_t i, int dir,
 
 double IncrementalFSim::EvaluateDirty(size_t i, uint8_t dirty,
                                       MatchingScratch* scratch) {
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
+  const NodeId u = PairFirst(key_set_->keys[i]);
+  const NodeId v = PairSecond(key_set_->keys[i]);
   if (config_.pin_diagonal && u == v) return 1.0;
   if ((dirty & kDirtyOut) && config_.w_out > 0.0) {
     out_cache_[i] = ComputeDirection(i, IncrementalNeighborIndex::kOut, scratch);
@@ -202,7 +195,7 @@ void IncrementalFSim::SolveFull() {
   // shrinks under the contraction, so the extra sweep never loosens the
   // epsilon guarantee, and it also washes out any tolerance-mode
   // frontier slack beyond the documented τ-style bound.
-  const size_t n = keys_.size();
+  const size_t n = key_set_->keys.size();
   std::vector<double> next(n);
   const uint32_t max_iters = FSimIterationBound(config_);
   // Reverse-dependency soundness (see ActiveSetDriver::ReverseDepScheme):
@@ -461,8 +454,8 @@ void IncrementalFSim::PushDependents(size_t i, double delta) {
     }
     return;
   }
-  const NodeId u = PairFirst(keys_[i]);
-  const NodeId v = PairSecond(keys_[i]);
+  const NodeId u = PairFirst(key_set_->keys[i]);
+  const NodeId v = PairSecond(key_set_->keys[i]);
   // (u, v) is read by the out-direction of pairs in N-(u) x N-(v), where it
   // can move the result by at most w+ * c * delta / Ωχ of that dependent
   // (the sharpened Lipschitz bound, see the header) ...
@@ -470,7 +463,7 @@ void IncrementalFSim::PushDependents(size_t i, double delta) {
     const double base = config_.w_out * delta;
     for (NodeId up : g1_.InNeighbors(u)) {
       for (NodeId vp : g2_.InNeighbors(v)) {
-        const uint32_t idx = index_.Find(PairKey(up, vp));
+        const uint32_t idx = key_set_->index.Find(PairKey(up, vp));
         if (idx == FlatPairMap::kNotFound) continue;
         AddPendingOut(idx, base * influence_factor_out_[idx]);
       }
@@ -481,7 +474,7 @@ void IncrementalFSim::PushDependents(size_t i, double delta) {
     const double base = config_.w_in * delta;
     for (NodeId up : g1_.OutNeighbors(u)) {
       for (NodeId vp : g2_.OutNeighbors(v)) {
-        const uint32_t idx = index_.Find(PairKey(up, vp));
+        const uint32_t idx = key_set_->index.Find(PairKey(up, vp));
         if (idx == FlatPairMap::kNotFound) continue;
         AddPendingIn(idx, base * influence_factor_in_[idx]);
       }
@@ -633,7 +626,7 @@ Status IncrementalFSim::PropagateWaves() {
   // evaluation, so rebalancing granularity beats chunk-claim amortization.
   constexpr size_t kWaveGrain = 8;
 
-  const size_t n = keys_.size();
+  const size_t n = key_set_->keys.size();
   if (wave_fresh_.size() < n) wave_fresh_.resize(n);
   if (wave_weight_.size() < n) wave_weight_.resize(n);
   if (wave_dirty_.size() < n) wave_dirty_.resize(n);
@@ -756,10 +749,10 @@ void IncrementalFSim::SeedEndpointPairs(int graph_index, NodeId a, NodeId b) {
     }
   };
   if (graph_index == 1) {
-    for (uint32_t i = row_offsets_[a]; i < row_offsets_[a + 1]; ++i) {
+    for (uint32_t i = key_set_->row_offsets[a]; i < key_set_->row_offsets[a + 1]; ++i) {
       seed(i, kDirtyOut);
     }
-    for (uint32_t i = row_offsets_[b]; i < row_offsets_[b + 1]; ++i) {
+    for (uint32_t i = key_set_->row_offsets[b]; i < key_set_->row_offsets[b + 1]; ++i) {
       seed(i, kDirtyIn);
     }
   } else {
@@ -800,16 +793,16 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
   const uint64_t restaged_before = nbr_index_.restaged_spans();
   const OperatorConfig& op = op_;
   if (graph_index == 1) {
-    for (uint32_t i = row_offsets_[from]; i < row_offsets_[from + 1]; ++i) {
-      const NodeId v = PairSecond(keys_[i]);
+    for (uint32_t i = key_set_->row_offsets[from]; i < key_set_->row_offsets[from + 1]; ++i) {
+      const NodeId v = PairSecond(key_set_->keys[i]);
       if (indexed) {
         nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, from, v, env);
       }
       influence_factor_out_[i] =
           InfluenceFactor(op, g1_.OutDegree(from), g2_.OutDegree(v));
     }
-    for (uint32_t i = row_offsets_[to]; i < row_offsets_[to + 1]; ++i) {
-      const NodeId v = PairSecond(keys_[i]);
+    for (uint32_t i = key_set_->row_offsets[to]; i < key_set_->row_offsets[to + 1]; ++i) {
+      const NodeId v = PairSecond(key_set_->keys[i]);
       if (indexed) {
         nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, to, v, env);
       }
@@ -819,7 +812,7 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
   } else {
     for (uint32_t c = col_offsets_[from]; c < col_offsets_[from + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
-      const NodeId u = PairFirst(keys_[i]);
+      const NodeId u = PairFirst(key_set_->keys[i]);
       if (indexed) {
         nbr_index_.Restage(i, IncrementalNeighborIndex::kOut, u, from, env);
       }
@@ -828,7 +821,7 @@ Status IncrementalFSim::ApplyEdit(int graph_index, NodeId from, NodeId to,
     }
     for (uint32_t c = col_offsets_[to]; c < col_offsets_[to + 1]; ++c) {
       const uint32_t i = col_pairs_[c];
-      const NodeId u = PairFirst(keys_[i]);
+      const NodeId u = PairFirst(key_set_->keys[i]);
       if (indexed) {
         nbr_index_.Restage(i, IncrementalNeighborIndex::kIn, u, to, env);
       }
@@ -863,13 +856,13 @@ double IncrementalFSim::error_bound() const {
 
 FSimScores IncrementalFSim::Snapshot() const {
   FSimStats stats;
-  stats.maintained_pairs = keys_.size();
-  stats.theta_candidates = keys_.size();
+  stats.maintained_pairs = key_set_->keys.size();
+  stats.theta_candidates = key_set_->keys.size();
   stats.converged = converged_;
   stats.used_neighbor_index = nbr_index_.enabled();
   stats.neighbor_index_bytes =
       nbr_index_.enabled() ? nbr_index_.MemoryBytes() : 0;
-  return FSimScores(keys_, values_, index_, stats);
+  return FSimScores(key_set_, values_, stats);
 }
 
 }  // namespace fsim

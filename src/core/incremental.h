@@ -132,18 +132,21 @@ class IncrementalFSim {
 
   /// FSimχ(u, v) under the current graphs; 0 for non-candidate pairs.
   double Score(NodeId u, NodeId v) const {
-    uint32_t idx = index_.Find(PairKey(u, v));
+    uint32_t idx = key_set_->index.Find(PairKey(u, v));
     return idx == FlatPairMap::kNotFound ? 0.0 : values_[idx];
   }
 
   /// True if (u, v) is in the maintained candidate set.
   bool Contains(NodeId u, NodeId v) const {
-    return index_.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
+    return key_set_->index.Find(PairKey(u, v)) != FlatPairMap::kNotFound;
   }
 
-  size_t NumPairs() const { return keys_.size(); }
+  size_t NumPairs() const { return key_set_->keys.size(); }
 
-  /// An immutable snapshot of the current scores (copies the score table).
+  /// An immutable snapshot of the current scores. It shares the engine's
+  /// key set (keys, pair index, row ranges: fixed since Create, because
+  /// edge edits never change the θ-compatible pair set) and copies only
+  /// the values, so snapshots of one engine all share one key_set().
   /// stats().converged faithfully reports whether every propagation since
   /// Create ran to quiescence (no truncation by max_updates_per_edit or the
   /// wave cap).
@@ -186,7 +189,7 @@ class IncrementalFSim {
                   IncrementalOptions options);
 
   NeighborIndexEnv IndexEnv() const {
-    return NeighborIndexEnv{g1_, g2_, index_, lsim_};
+    return NeighborIndexEnv{g1_, g2_, key_set_->index, lsim_};
   }
 
   // Direction-dirtiness bits: influence arrives targeted at one direction
@@ -275,16 +278,14 @@ class IncrementalFSim {
   OperatorConfig op_;  // config_.operators(), hoisted out of Evaluate
   LabelSimilarityCache lsim_;
 
-  std::vector<uint64_t> keys_;  // sorted u-major
-  std::vector<double> values_;
+  // The candidate pairs (u-major keys, pair index, per-u row ranges over
+  // every node of graph 1): built once in Create, shared with every
+  // Snapshot(). Row ranges seed and re-stage edits in graph 1.
+  SharedPairKeySet key_set_;
+  std::vector<double> values_;  // values_[i] scores key_set_->keys[i]
   // Per-pair constant Equation 3 tail (1 - w+ - w-) * L(u, v): labels are
   // fixed under edits, so it never changes.
   std::vector<double> const_term_;
-  FlatPairMap index_;
-
-  // Per-u contiguous ranges into keys_ (u-major sort): row_offsets_[u] ..
-  // row_offsets_[u+1]. Used to seed and re-stage edits in graph 1.
-  std::vector<uint32_t> row_offsets_;
   // CSR of store indices grouped by v. Used to seed and re-stage edits in
   // graph 2.
   std::vector<uint32_t> col_offsets_;

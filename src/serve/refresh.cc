@@ -414,10 +414,22 @@ void RefreshDriver::PublishLocked() {
   meta.edits_applied = stats_.edits_applied;
   meta.converged = inc_->converged();
   meta.error_bound = inc_->error_bound();
-  FSimScores scores = inc_->Snapshot();
+  SharedFSimScores scores;
+  {
+    FSIM_TRACE_SPAN("refresh.publish.copy");
+    scores = FreezeScores(inc_->Snapshot());  // copies the values only
+  }
   meta.build_seconds = timer.Seconds();  // + the cache build, in the ctor
-  auto snapshot = std::make_shared<const FSimSnapshot>(
-      FreezeScores(std::move(scores)), policy_.topk_cache_k, meta);
+  SnapshotPtr snapshot;
+  {
+    // The current snapshot shares the engine's key set (unless it is a
+    // warm start loaded from disk), so its top-k cache carries forward and
+    // only the rows this batch changed are repaired or re-selected.
+    FSIM_TRACE_SPAN("refresh.publish.cache");
+    const SnapshotPtr previous = store_->Acquire();
+    snapshot = std::make_shared<const FSimSnapshot>(
+        std::move(scores), policy_.topk_cache_k, meta, previous.get());
+  }
   store_->Publish(std::move(snapshot));
   stats_.last_publish_seconds = timer.Seconds();
   ++stats_.publishes;

@@ -1,46 +1,181 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
 
 namespace fsim {
 
+namespace {
+
+/// Cache-row dispositions across all snapshot builds, resolved once.
+struct CacheRowCounters {
+  obs::Counter* carried;
+  obs::Counter* repaired;
+  obs::Counter* reselected;
+
+  static const CacheRowCounters& Get() {
+    static const CacheRowCounters counters = [] {
+      obs::Registry& registry = obs::Registry::Default();
+      constexpr char kFamily[] = "fsim_snapshot_cache_rows_total";
+      constexpr char kHelp[] =
+          "Top-k cache rows per snapshot build, by how each was obtained";
+      CacheRowCounters c;
+      c.carried = registry.GetCounter(kFamily, kHelp, "kind", "carried");
+      c.repaired = registry.GetCounter(kFamily, kHelp, "kind", "repaired");
+      c.reselected = registry.GetCounter(kFamily, kHelp, "kind", "reselected");
+      return c;
+    }();
+    return counters;
+  }
+};
+
+}  // namespace
+
 FSimSnapshot::FSimSnapshot(SharedFSimScores scores, size_t cache_k,
-                           SnapshotMeta meta)
+                           SnapshotMeta meta, const FSimSnapshot* previous)
     : scores_(std::move(scores)), cache_k_(cache_k), meta_(meta) {
   // meta.build_seconds arrives holding the producer's cost of obtaining
-  // the frozen scores (e.g. the engine's score-table copy); the cache
+  // the frozen scores (e.g. the engine's values copy); the cache
   // build below adds its own share so the published figure is the whole
   // snapshot cost.
   Timer cache_timer;
-  const auto& keys = scores_->keys();
-  BuildCache(keys);
+  const bool carry = previous != nullptr &&
+                     previous->scores_->key_set() == scores_->key_set() &&
+                     previous->cache_k_ == cache_k_;
+  BuildCache(carry ? previous : nullptr);
   meta_.build_seconds += cache_timer.Seconds();
+  const CacheRowCounters& counters = CacheRowCounters::Get();
+  counters.carried->Inc(cache_stats_.carried);
+  counters.repaired->Inc(cache_stats_.repaired);
+  counters.reselected->Inc(cache_stats_.reselected);
+#ifdef FSIM_DEBUG_CHECKS
+  if (carry) {
+    const Status valid = ValidateCache();
+    FSIM_CHECK(valid.ok()) << valid.ToString();
+  }
+#endif
 }
 
-void FSimSnapshot::BuildCache(const std::vector<uint64_t>& keys) {
-  if (keys.empty() || cache_k_ == 0) return;
-  // Keys are u-major sorted, so rows are contiguous; one linear walk finds
-  // every row boundary and top-k-selects it in place.
-  const NodeId max_u = PairFirst(keys.back());
-  cache_offsets_.assign(static_cast<size_t>(max_u) + 2, 0);
-  cache_entries_.reserve(
-      std::min(keys.size(), (static_cast<size_t>(max_u) + 1) * cache_k_));
-  size_t i = 0;
-  NodeId next_row = 0;
-  while (i < keys.size()) {
-    const NodeId u = PairFirst(keys[i]);
-    // Rows absent from the pair table get empty [off, off) spans.
-    for (; next_row <= u; ++next_row) {
-      cache_offsets_[next_row] = static_cast<uint32_t>(cache_entries_.size());
+void FSimSnapshot::BuildCache(const FSimSnapshot* previous) {
+  const PairKeySet& set = *scores_->key_set();
+  if (set.keys.empty() || cache_k_ == 0) return;
+  const size_t rows = set.NumRows();
+  const double* values = scores_->values().data();
+  const double* before =
+      previous != nullptr ? previous->scores_->values().data() : nullptr;
+  cache_offsets_.assign(rows + 1, 0);
+  floors_.resize(rows);
+  cache_entries_.reserve(std::min(set.keys.size(), rows * cache_k_));
+  std::vector<Entry> scratch;
+  for (size_t u = 0; u < rows; ++u) {
+    cache_offsets_[u] = static_cast<uint32_t>(cache_entries_.size());
+    const auto [first, last] = set.RowRange(static_cast<NodeId>(u));
+    if (first == last) continue;
+    const NodeId row = static_cast<NodeId>(u);
+    if (before != nullptr && std::memcmp(values + first, before + first,
+                                         (last - first) * sizeof(double)) == 0) {
+      const auto span = previous->CachedTopK(row);
+      cache_entries_.insert(cache_entries_.end(), span.begin(), span.end());
+      floors_[u] = previous->floors_[u];
+      ++cache_stats_.carried;
+    } else if (before != nullptr &&
+               RepairRow(row, first, last, *previous, &scratch)) {
+      ++cache_stats_.repaired;
+    } else {
+      SelectRow(row, last - first);
+      ++cache_stats_.reselected;
     }
-    scores_->TopKInto(u, cache_k_, &cache_entries_);
-    while (i < keys.size() && PairFirst(keys[i]) == u) ++i;
   }
-  cache_offsets_[static_cast<size_t>(max_u) + 1] =
-      static_cast<uint32_t>(cache_entries_.size());
+  cache_offsets_[rows] = static_cast<uint32_t>(cache_entries_.size());
+}
+
+bool FSimSnapshot::RepairRow(NodeId u, size_t first, size_t last,
+                             const FSimSnapshot& previous,
+                             std::vector<Entry>* scratch) {
+  const std::vector<uint64_t>& keys = scores_->keys();
+  const double* values = scores_->values().data();
+  const double* before = previous.scores_->values().data();
+  const auto cached = previous.CachedTopK(u);
+  // The cached entries in ascending v, merged against the row (whose keys
+  // ascend in v): a match re-reads the entry's new value, anything else is
+  // uncached, and matters only if it changed.
+  std::vector<Entry>& fresh = *scratch;
+  fresh.assign(cached.begin(), cached.end());
+  std::sort(fresh.begin(), fresh.end(),
+            [](const Entry& a, const Entry& b) { return a.first < b.first; });
+  size_t next = 0;
+  bool any_changed = false;
+  Entry best_changed;
+  for (size_t i = first; i < last; ++i) {
+    const NodeId v = PairSecond(keys[i]);
+    if (next < fresh.size() && fresh[next].first == v) {
+      fresh[next++].second = values[i];
+    } else if (std::memcmp(values + i, before + i, sizeof(double)) != 0) {
+      const Entry entry{v, values[i]};
+      if (!any_changed || RanksBefore(entry, best_changed)) {
+        best_changed = entry;
+        any_changed = true;
+      }
+    }
+  }
+  const bool row_fits = last - first <= cache_k_;
+  if (!row_fits) {
+    const Entry weakest = *std::max_element(fresh.begin(), fresh.end(),
+                                            RanksBefore);
+    const Entry& floor = previous.floors_[u];
+    if (!RanksBefore(weakest, floor)) return false;
+    if (any_changed && !RanksBefore(weakest, best_changed)) return false;
+    // Unchanged uncached entries still rank at or after the old floor,
+    // changed ones at or after best_changed.
+    floors_[u] =
+        any_changed && RanksBefore(best_changed, floor) ? best_changed : floor;
+  }
+  std::sort(fresh.begin(), fresh.end(), RanksBefore);
+  cache_entries_.insert(cache_entries_.end(), fresh.begin(), fresh.end());
+  return true;
+}
+
+void FSimSnapshot::SelectRow(NodeId u, size_t row_size) {
+  if (row_size <= cache_k_) {
+    scores_->TopKInto(u, row_size, &cache_entries_);
+    return;
+  }
+  scores_->TopKInto(u, cache_k_ + 1, &cache_entries_);
+  floors_[u] = cache_entries_.back();
+  cache_entries_.pop_back();
+}
+
+Status FSimSnapshot::ValidateCache() const {
+  ValidatorCounters::Bump("FSimSnapshot::ValidateCache");
+  const PairKeySet& set = *scores_->key_set();
+  std::vector<Entry> expect;
+  for (size_t u = 0; u < set.NumRows(); ++u) {
+    const NodeId row = static_cast<NodeId>(u);
+    const auto [first, last] = set.RowRange(row);
+    const size_t row_size = last - first;
+    const size_t depth = std::min(row_size, cache_k_);
+    expect.clear();
+    scores_->TopKInto(row, row_size > cache_k_ ? cache_k_ + 1 : row_size,
+                      &expect);
+    const auto cached = CachedTopK(row);
+    if (cached.size() != depth ||
+        !std::equal(cached.begin(), cached.end(), expect.begin())) {
+      return Status::Internal("top-k cache row " + std::to_string(u) +
+                              " differs from a cold selection");
+    }
+    if (cache_k_ > 0 && row_size > cache_k_ &&
+        RanksBefore(expect[cache_k_], floors_[u])) {
+      return Status::Internal("top-k cache row " + std::to_string(u) +
+                              ": floor ranks after the best uncached entry");
+    }
+  }
+  return Status::OK();
 }
 
 std::vector<std::pair<NodeId, double>> FSimSnapshot::TopK(NodeId u,
@@ -73,12 +208,7 @@ std::vector<std::pair<NodeId, double>> FSimSnapshot::ThresholdNeighbors(
                              return e.second < tau;
                            }),
             out.end());
-  std::sort(out.begin(), out.end(),
-            [](const std::pair<NodeId, double>& a,
-               const std::pair<NodeId, double>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+  std::sort(out.begin(), out.end(), RanksBefore);
   return out;
 }
 

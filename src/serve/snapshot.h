@@ -49,14 +49,30 @@ struct SnapshotMeta {
   double build_seconds = 0.0;
 };
 
+/// How the rows of one snapshot's top-k cache were obtained (rows with no
+/// pairs are not counted).
+struct CacheBuildStats {
+  size_t carried = 0;     // values bitwise unchanged: previous span copied
+  size_t repaired = 0;    // changed; previous entries re-read and re-sorted
+  size_t reselected = 0;  // selected from the row with TopKInto
+};
+
 /// An immutable, query-ready view of one score version: frozen shared
 /// scores plus a per-node top-k cache (the first `cache_k` ranked entries
-/// of every row, selected once at build time with bounded-heap selection).
+/// of every row).
 class FSimSnapshot {
  public:
-  /// Builds the top-k cache over `scores` (one linear walk of the pair
-  /// table, O(row log k) selection per row).
-  FSimSnapshot(SharedFSimScores scores, size_t cache_k, SnapshotMeta meta);
+  /// Builds the top-k cache over `scores` in one walk over the rows. With
+  /// a `previous` snapshot over the same key set (the same
+  /// FSimScores::key_set() pointer) and the same cache_k, its cache is
+  /// carried forward: a row whose values are bitwise unchanged copies
+  /// previous's span, and a changed row is repaired from it when that is
+  /// provably exact (see RepairRow). Every other row — all of them without
+  /// a usable `previous`, a cold build — is selected with
+  /// FSimScores::TopKInto, O(row log k). Either way the cache equals a cold
+  /// build's exactly.
+  FSimSnapshot(SharedFSimScores scores, size_t cache_k, SnapshotMeta meta,
+               const FSimSnapshot* previous = nullptr);
 
   /// FSimχ(u, v); 0 for pairs outside the maintained candidate set.
   double PairScore(NodeId u, NodeId v) const { return scores_->Score(u, v); }
@@ -85,21 +101,59 @@ class FSimSnapshot {
   const SnapshotMeta& meta() const { return meta_; }
   size_t cache_k() const { return cache_k_; }
 
+  /// How this snapshot's cache rows were obtained.
+  const CacheBuildStats& cache_build_stats() const { return cache_stats_; }
+
   /// Heap footprint of the top-k cache.
   size_t CacheBytes() const {
     return cache_entries_.capacity() * sizeof(cache_entries_[0]) +
-           cache_offsets_.capacity() * sizeof(uint32_t);
+           cache_offsets_.capacity() * sizeof(uint32_t) +
+           floors_.capacity() * sizeof(floors_[0]);
   }
 
+  /// Compares every row's cached entries with a cold TopKInto selection of
+  /// the same row, and checks that each stored floor ranks at or before the
+  /// best uncached entry. Runs automatically after every carried-forward
+  /// build under FSIM_DEBUG_CHECKS. Bumps ValidatorCounters
+  /// "FSimSnapshot::ValidateCache".
+  Status ValidateCache() const;
+
  private:
-  void BuildCache(const std::vector<uint64_t>& keys);
+  // check_test.cc corrupts the cache and floors through this to prove
+  // ValidateCache catches them.
+  friend struct FSimSnapshotTestAccess;
+
+  using Entry = std::pair<NodeId, double>;
+
+  /// The cache build walk; `previous` is null for a cold build.
+  void BuildCache(const FSimSnapshot* previous);
+
+  /// Repairs changed row u (positions [first, last)) from previous's
+  /// cached entries C: re-reads their new values, and appends them sorted
+  /// iff they are still the row's exact top min(k, |row|). That holds when
+  /// the weakest re-read entry m ranks before previous's floor of u (so
+  /// before every unchanged uncached entry) and before every changed
+  /// uncached entry. Returns false, appending nothing, otherwise.
+  /// `scratch` is reused across rows.
+  bool RepairRow(NodeId u, size_t first, size_t last,
+                 const FSimSnapshot& previous, std::vector<Entry>* scratch);
+
+  /// Selects row u (`row_size` pairs) with TopKInto, one entry deeper than
+  /// the cache so the exact floor comes for free.
+  void SelectRow(NodeId u, size_t row_size);
 
   SharedFSimScores scores_;
   size_t cache_k_;
   // CSR over u: row u's cached entries live in
   // cache_entries_[cache_offsets_[u] .. cache_offsets_[u + 1]).
   std::vector<uint32_t> cache_offsets_;
-  std::vector<std::pair<NodeId, double>> cache_entries_;
+  std::vector<Entry> cache_entries_;
+  // Per row longer than cache_k_: an entry ranking at or before every
+  // uncached entry of the row — exactly the best uncached entry when the
+  // row was last selected, a conservative bound after repairs. Unused for
+  // shorter rows (the cache holds the whole row).
+  std::vector<Entry> floors_;
+  CacheBuildStats cache_stats_;
   SnapshotMeta meta_;
 };
 

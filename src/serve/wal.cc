@@ -311,6 +311,13 @@ Result<WalTail> ReadWal(const std::string& dir, bool truncate_torn_tail) {
                                        path.c_str()));
     }
     const std::string bytes = buffer.str();
+    if (bytes.empty() && !last_segment) {
+      // The writer appends before it rotates, so only the newest segment
+      // can be empty; an older one lost records that were acknowledged.
+      return Status::IOError(StrFormat(
+          "wal segment %s is empty but is not the newest segment",
+          path.c_str()));
+    }
 
     size_t pos = 0;
     bool torn = false;

@@ -54,6 +54,15 @@ struct SnapshotStoreTestAccess {
   }
 };
 
+struct FSimSnapshotTestAccess {
+  static std::vector<std::pair<NodeId, double>>& Entries(FSimSnapshot& s) {
+    return s.cache_entries_;
+  }
+  static std::vector<std::pair<NodeId, double>>& Floors(FSimSnapshot& s) {
+    return s.floors_;
+  }
+};
+
 struct IncrementalNeighborIndexTestAccess {
   static uint64_t& Freed(IncrementalNeighborIndex& idx) { return idx.freed_; }
   static void ShrinkLastSpan(IncrementalNeighborIndex& idx) {
@@ -414,6 +423,44 @@ TEST(ValidateChainTest, StalePublishRejectedAndChainStaysValid) {
   EXPECT_FALSE(store.Publish(first));  // stale: dropped
   EXPECT_TRUE(store.ValidateChain().ok());
   EXPECT_EQ(store.version(), 2u);
+}
+
+// ------------------------------------------------- top-k cache corruption --
+
+/// A 1 x 4 score table (row 0 scores 0.9, 0.7, 0.5, 0.3) under a depth-2
+/// cache, so row 0 has a floor.
+FSimSnapshot MakeCachedSnapshot() {
+  std::vector<uint64_t> keys;
+  FlatPairMap index(4);
+  for (NodeId v = 0; v < 4; ++v) {
+    index.Insert(PairKey(0, v), static_cast<uint32_t>(keys.size()));
+    keys.push_back(PairKey(0, v));
+  }
+  return FSimSnapshot(
+      FreezeScores(FSimScores(std::move(keys), {0.9, 0.7, 0.5, 0.3},
+                              std::move(index), FSimStats{})),
+      /*cache_k=*/2, SnapshotMeta{});
+}
+
+TEST(ValidateCacheTest, CleanCachePasses) {
+  const FSimSnapshot snapshot = MakeCachedSnapshot();
+  EXPECT_TRUE(snapshot.ValidateCache().ok());
+}
+
+TEST(ValidateCacheTest, CatchesWrongCachedEntry) {
+  FSimSnapshot snapshot = MakeCachedSnapshot();
+  FSimSnapshotTestAccess::Entries(snapshot)[1] = {2, 0.5};  // not the 2nd best
+  const Status st = snapshot.ValidateCache();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("cold selection"), std::string::npos);
+}
+
+TEST(ValidateCacheTest, CatchesFloorBelowBestUncached) {
+  FSimSnapshot snapshot = MakeCachedSnapshot();
+  FSimSnapshotTestAccess::Floors(snapshot)[0] = {3, 0.3};  // (2, 0.5) ranks first
+  const Status st = snapshot.ValidateCache();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("floor"), std::string::npos);
 }
 
 // ---------------------------------------------------- ThreadPool validator --

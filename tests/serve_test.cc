@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -19,6 +20,7 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "core/incremental.h"
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
 #include "graph/graph_builder.h"
@@ -136,6 +138,117 @@ TEST(SnapshotTest, CacheMatchesScoresAndServesQueries) {
       EXPECT_EQ(snapshot.PairScore(u, v), reference.Score(u, v));
     }
   }
+}
+
+/// One snapshot's cache, row by row, as plain vectors.
+std::vector<std::vector<std::pair<NodeId, double>>> CacheRows(
+    const FSimSnapshot& snapshot) {
+  std::vector<std::vector<std::pair<NodeId, double>>> rows;
+  for (size_t u = 0; u < snapshot.scores().key_set()->NumRows(); ++u) {
+    const auto cached = snapshot.CachedTopK(static_cast<NodeId>(u));
+    rows.emplace_back(cached.begin(), cached.end());
+  }
+  return rows;
+}
+
+// Publishing carries the previous snapshot's top-k cache forward: after
+// every edit of random insert/remove streams, the carried cache must equal
+// a cold build of the same scores for every variant, θ and cache depth (64
+// is longer than every row here, so whole-row caches are covered). A
+// snapshot retained from an early version must stay exactly as built, and
+// Snapshot() must keep handing out the engine's full key set and values.
+TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
+  constexpr size_t kDepths[] = {1, 4, 16, 64};
+  CacheBuildStats totals;
+  for (SimVariant variant :
+       {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
+        SimVariant::kBijective}) {
+    for (double theta : {0.4, 1.0}) {
+      const std::string where = std::string(SimVariantName(variant)) +
+                                " theta=" + std::to_string(theta);
+      const auto pair = testing::MakeRandomPair(0xCA77 + (theta < 1.0), 24,
+                                                24, 3);
+      FSimConfig config;
+      config.variant = variant;
+      config.theta = theta;
+      auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config);
+      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+
+      std::vector<SnapshotPtr> carried(std::size(kDepths));
+      SnapshotPtr retained;
+      std::vector<uint64_t> retained_keys;
+      std::vector<double> retained_values;
+      std::vector<std::vector<std::pair<NodeId, double>>> retained_cache;
+      Rng rng(0x5EED + static_cast<uint64_t>(variant));
+      const NodeId n = static_cast<NodeId>(inc->g1().NumNodes());
+      for (int e = 0; e < 14; ++e) {
+        if (e > 0) {
+          // Alternate inserts of absent edges with removals of present
+          // ones, so every edit takes effect.
+          const DynamicGraph& g = inc->g1();
+          const bool insert = e % 2 == 1;
+          NodeId from = 0, to = 0;
+          do {
+            from = static_cast<NodeId>(rng.NextBounded(n));
+            to = static_cast<NodeId>(rng.NextBounded(n));
+          } while (from == to || g.HasEdge(from, to) == insert);
+          const Status status = insert ? inc->InsertEdge(1, from, to)
+                                       : inc->RemoveEdge(1, from, to);
+          ASSERT_TRUE(status.ok()) << status.ToString();
+        }
+        const SharedFSimScores scores = FreezeScores(inc->Snapshot());
+        ASSERT_EQ(scores->key_set(), inc->Snapshot().key_set()) << where;
+        ASSERT_EQ(scores->NumPairs(), inc->NumPairs()) << where;
+        for (size_t i = 0; i < scores->NumPairs(); ++i) {
+          const uint64_t key = scores->keys()[i];
+          ASSERT_EQ(scores->values()[i],
+                    inc->Score(PairFirst(key), PairSecond(key)))
+              << where << " edit " << e;
+        }
+        for (size_t d = 0; d < std::size(kDepths); ++d) {
+          SnapshotMeta meta;
+          meta.version = static_cast<uint64_t>(e) + 1;
+          auto next = std::make_shared<const FSimSnapshot>(
+              scores, kDepths[d], meta, carried[d].get());
+          const FSimSnapshot cold(scores, kDepths[d], meta);
+          ASSERT_EQ(CacheRows(*next), CacheRows(cold))
+              << where << " cache_k=" << kDepths[d] << " edit " << e;
+          const Status valid = next->ValidateCache();
+          ASSERT_TRUE(valid.ok()) << valid.ToString();
+          const CacheBuildStats& stats = next->cache_build_stats();
+          if (e > 0) {
+            totals.carried += stats.carried;
+            totals.repaired += stats.repaired;
+            totals.reselected += stats.reselected;
+          }
+          carried[d] = std::move(next);
+        }
+        if (e == 0) {
+          retained = carried[2];
+          retained_keys = retained->scores().keys();
+          retained_values = retained->scores().values();
+          retained_cache = CacheRows(*retained);
+        }
+      }
+      // The retained version shares the key set but none of the later
+      // values or cache rows.
+      EXPECT_EQ(retained->scores().keys(), retained_keys) << where;
+      EXPECT_EQ(retained->scores().values(), retained_values) << where;
+      EXPECT_EQ(CacheRows(*retained), retained_cache) << where;
+      EXPECT_NE(retained->scores().values(), carried[2]->scores().values())
+          << where;
+
+      // The shared key set is the candidate set a batch solve enumerates.
+      auto full = ComputeFSim(inc->MaterializeG1(), inc->MaterializeG2(),
+                              config);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_EQ(inc->Snapshot().keys(), full->keys()) << where;
+    }
+  }
+  // Each path of the carried build ran somewhere in the sweep.
+  EXPECT_GT(totals.carried, 0u);
+  EXPECT_GT(totals.repaired, 0u);
+  EXPECT_GT(totals.reselected, 0u);
 }
 
 TEST(SnapshotStoreTest, PublishAcquireVersions) {

@@ -80,14 +80,20 @@ void RunAllValidators() {
   score_index.Insert(PairKey(0, 0), 0);
   SharedFSimScores scores = FreezeScores(
       FSimScores({PairKey(0, 0)}, {1.0}, std::move(score_index), FSimStats{}));
-  for (int round = 0; round < 2; ++round) {
+  for (double value : {1.0, 0.5}) {
+    // The second round carries the first one's cache forward over the
+    // same key set with a changed value.
     SnapshotMeta meta;
     meta.version = snapshots.NextVersion();
-    ASSERT_TRUE(snapshots.Publish(
-        std::make_shared<const FSimSnapshot>(scores, /*cache_k=*/2, meta)));
+    const SnapshotPtr previous = snapshots.Acquire();
+    ASSERT_TRUE(snapshots.Publish(std::make_shared<const FSimSnapshot>(
+        FreezeScores(FSimScores(scores->key_set(), {value}, FSimStats{})),
+        /*cache_k=*/2, meta, previous.get())));
   }
   const Status chain = snapshots.ValidateChain();
   EXPECT_TRUE(chain.ok()) << chain.ToString();
+  const Status cache = snapshots.Acquire()->ValidateCache();
+  EXPECT_TRUE(cache.ok()) << cache.ToString();
 }
 
 class StructureValidationEnvironment : public ::testing::Environment {
@@ -99,7 +105,7 @@ class StructureValidationEnvironment : public ::testing::Environment {
     for (const char* name :
          {"DynamicGraph::ValidateAdjacency", "PairStore::ValidateNeighborIndex",
           "IncrementalNeighborIndex::Validate", "ThreadPool::ValidateScheduler",
-          "SnapshotStore::ValidateChain"}) {
+          "SnapshotStore::ValidateChain", "FSimSnapshot::ValidateCache"}) {
       EXPECT_GE(ValidatorCounters::Count(name), 1u)
           << "validator never executed: " << name;
     }
