@@ -1,14 +1,9 @@
 #include "core/scores_io.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -123,69 +118,6 @@ Status SaveScoresToFile(const FSimScores& scores, const std::string& path) {
   if (!out) return Status::IOError("cannot open " + path + " for writing");
   out << ScoresToString(scores);
   if (!out) return Status::IOError("write failed on " + path);
-  return Status::OK();
-}
-
-Status SaveScoresToFileDurable(const FSimScores& scores,
-                               const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  const std::string text = ScoresToString(scores);
-  const int fd =
-      ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IOError(StrFormat("cannot open %s: %s", tmp.c_str(),
-                                     std::strerror(errno)));
-  }
-  const char* data = text.data();
-  size_t len = text.size();
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved_errno = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::IOError(StrFormat("write to %s failed: %s", tmp.c_str(),
-                                       std::strerror(saved_errno)));
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  // durability: content before rename — the visible name must never point
-  // at unsynced blocks.
-  if (::fsync(fd) != 0) {
-    const int saved_errno = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::IOError(StrFormat("fsync of %s failed: %s", tmp.c_str(),
-                                     std::strerror(saved_errno)));
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int saved_errno = errno;
-    ::unlink(tmp.c_str());
-    return Status::IOError(StrFormat("rename %s -> %s failed: %s",
-                                     tmp.c_str(), path.c_str(),
-                                     std::strerror(saved_errno)));
-  }
-  // durability: persist the rename's directory entry so the swap itself
-  // survives a crash.
-  std::string dir(path);
-  const size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? std::string(".") : dir.substr(0, slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) {
-    return Status::IOError(StrFormat("cannot open directory %s: %s",
-                                     dir.c_str(), std::strerror(errno)));
-  }
-  const int rc = ::fsync(dfd);
-  const int saved_errno = errno;
-  ::close(dfd);
-  if (rc != 0) {
-    return Status::IOError(StrFormat("fsync of directory %s failed: %s",
-                                     dir.c_str(),
-                                     std::strerror(saved_errno)));
-  }
   return Status::OK();
 }
 

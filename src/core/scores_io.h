@@ -7,6 +7,9 @@
 //   pairs <n>
 //   <u> <v> <score>
 //   ...
+//
+// This is the user-facing format (fsim_cli --out, warm_scores_path). Durable
+// serving snapshots (serve/recovery.h) store scores as a binary blob.
 #ifndef FSIM_CORE_SCORES_IO_H_
 #define FSIM_CORE_SCORES_IO_H_
 
@@ -27,13 +30,6 @@ Result<FSimScores> ScoresFromString(std::string_view text);
 /// File round trip.
 Status SaveScoresToFile(const FSimScores& scores, const std::string& path);
 Result<FSimScores> LoadScoresFromFile(const std::string& path);
-
-/// Crash-safe save: writes to `path`.tmp, fsyncs, renames over `path`, and
-/// fsyncs the parent directory, so readers see either the old file or the
-/// complete new one — never a torn write. Use for score files that feed
-/// warm starts or recovery (docs/serving.md "Durability & recovery").
-Status SaveScoresToFileDurable(const FSimScores& scores,
-                               const std::string& path);
 
 }  // namespace fsim
 

@@ -5,24 +5,33 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "core/scores_io.h"
 #include "graph/binary_io.h"
+#include "obs/trace.h"
 
 namespace fsim {
 
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'F', 'S', 'I', 'M', 'S', 'N', 'P', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 1 framed text scores (core/scores_io.h) under an FNV-1a checksum;
+// it is still read, never written. Version 2 is the binary score blob under
+// WordHash64.
+constexpr uint32_t kSnapshotVersionText = 1;
+constexpr uint32_t kSnapshotVersion = 2;
+
+// The score blob is the in-memory key and value arrays copied verbatim.
+static_assert(std::endian::native == std::endian::little,
+              ".fsnap score blobs are little-endian");
 
 constexpr char kSnapshotPrefix[] = "snap-";
 constexpr char kSnapshotSuffix[] = ".fsnap";
@@ -81,63 +90,72 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
   return snapshots;
 }
 
-Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
-  if (bytes.size() < sizeof(kSnapshotMagic) + 8 ||
-      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-          0) {
-    return Status::IOError("not an fsim snapshot (bad magic)");
+// The version 2 score blob: u64 n, then n u-major keys, then n values.
+// Keys must be strictly increasing, so a sorted, duplicate-free table needs
+// no re-sort; every id and score is range-checked like the text reader's.
+Result<FSimScores> ScoresFromBlob(std::string_view blob) {
+  uint64_t n = 0;
+  if (blob.size() >= 8) std::memcpy(&n, blob.data(), 8);
+  if (blob.size() < 8 || n > (blob.size() - 8) / 16 ||
+      blob.size() != 8 + 16 * n || n >= FlatPairMap::kNotFound) {
+    return Status::IOError("snapshot score blob size does not match its "
+                           "pair count");
   }
-  const size_t payload_end = bytes.size() - 8;
-  uint64_t stored_checksum;
-  std::memcpy(&stored_checksum, bytes.data() + payload_end, 8);
-  const uint64_t computed = HashBytes(bytes.data() + sizeof(kSnapshotMagic),
-                                      payload_end - sizeof(kSnapshotMagic));
-  if (stored_checksum != computed) {
-    return Status::IOError("snapshot checksum mismatch (torn or corrupt)");
+  std::vector<uint64_t> keys(n);
+  std::vector<double> values(n);
+  if (n > 0) {
+    std::memcpy(keys.data(), blob.data() + 8, n * sizeof(uint64_t));
+    std::memcpy(values.data(), blob.data() + 8 + n * sizeof(uint64_t),
+                n * sizeof(double));
   }
+  FlatPairMap index(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && keys[i] <= keys[i - 1]) {
+      return Status::IOError(
+          StrFormat("snapshot score keys not increasing at pair %zu", i));
+    }
+    if (PairFirst(keys[i]) == kInvalidNode ||
+        PairSecond(keys[i]) == kInvalidNode) {
+      return Status::IOError(
+          StrFormat("snapshot node id out of range at pair %zu", i));
+    }
+    if (!std::isfinite(values[i]) || values[i] < 0.0 || values[i] > 1.0) {
+      return Status::IOError(
+          StrFormat("snapshot score out of range at pair %zu", i));
+    }
+    index.Insert(keys[i], static_cast<uint32_t>(i));
+  }
+  return FSimScores(std::move(keys), std::move(values), std::move(index),
+                    FSimStats{});
+}
 
-  size_t pos = sizeof(kSnapshotMagic);
-  auto read_u32 = [&](uint32_t* v) {
-    if (payload_end - pos < 4) return false;
-    std::memcpy(v, bytes.data() + pos, 4);
-    pos += 4;
-    return true;
-  };
-  auto read_u64 = [&](uint64_t* v) {
-    if (payload_end - pos < 8) return false;
-    std::memcpy(v, bytes.data() + pos, 8);
-    pos += 8;
-    return true;
-  };
-  auto read_blob = [&](std::string_view* out) {
-    uint64_t len;
-    if (!read_u64(&len) || payload_end - pos < len) return false;
-    *out = bytes.substr(pos, len);
-    pos += len;
-    return true;
-  };
-
-  uint32_t version;
-  uint64_t stored_lsn;
-  std::string_view g1_bytes, g2_bytes, scores_text;
-  if (!read_u32(&version) || version != kSnapshotVersion) {
-    return Status::IOError("unsupported snapshot version");
+// Reads a whole file with one sized read.
+Status ReadFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("cannot open %s: %s", path.c_str(),
+                                     std::strerror(errno)));
   }
-  if (!read_u64(&stored_lsn) || stored_lsn != lsn) {
-    return Status::IOError("snapshot lsn does not match its filename");
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int saved_errno = errno;
+    ::close(fd);
+    return Status::IOError(StrFormat("cannot stat %s: %s", path.c_str(),
+                                     std::strerror(saved_errno)));
   }
-  if (!read_blob(&g1_bytes) || !read_blob(&g2_bytes) ||
-      !read_blob(&scores_text) || pos != payload_end) {
-    return Status::IOError("snapshot payload is malformed");
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
   }
-
-  LoadedSnapshot snap;
-  snap.lsn = lsn;
-  // Both graphs share one dictionary, as the serving layer loads them.
-  FSIM_ASSIGN_OR_RETURN(snap.g1, GraphFromBinary(g1_bytes));
-  FSIM_ASSIGN_OR_RETURN(snap.g2, GraphFromBinary(g2_bytes, snap.g1.dict()));
-  FSIM_ASSIGN_OR_RETURN(snap.scores, ScoresFromString(scores_text));
-  return snap;
+  ::close(fd);
+  if (done != out->size()) {
+    return Status::IOError(StrFormat("short read of %s", path.c_str()));
+  }
+  return Status::OK();
 }
 
 Status SyncDirectory(const std::string& dir) {
@@ -161,18 +179,95 @@ Status SyncDirectory(const std::string& dir) {
 
 }  // namespace
 
-Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
-                       const Graph& g2, const FSimScores& scores) {
-  FSIM_FAILPOINT("serve.snapshot.persist");
-  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn) {
+  if (bytes.size() < sizeof(kSnapshotMagic) + 4 + 8 ||
+      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
+          0) {
+    return Status::IOError("not an fsim snapshot (bad magic)");
+  }
+  uint32_t version;
+  std::memcpy(&version, bytes.data() + sizeof(kSnapshotMagic), 4);
+  if (version != kSnapshotVersion && version != kSnapshotVersionText) {
+    return Status::IOError(
+        StrFormat("unsupported snapshot version %u", version));
+  }
+  const size_t payload_end = bytes.size() - 8;
+  uint64_t stored_checksum;
+  std::memcpy(&stored_checksum, bytes.data() + payload_end, 8);
+  const char* payload = bytes.data() + sizeof(kSnapshotMagic);
+  const size_t payload_len = payload_end - sizeof(kSnapshotMagic);
+  const uint64_t computed = version == kSnapshotVersion
+                                ? WordHash64(payload, payload_len)
+                                : HashBytes(payload, payload_len);
+  if (stored_checksum != computed) {
+    return Status::IOError("snapshot checksum mismatch (torn or corrupt)");
+  }
+
+  size_t pos = sizeof(kSnapshotMagic) + 4;
+  auto read_u64 = [&](uint64_t* v) {
+    if (payload_end - pos < 8) return false;
+    std::memcpy(v, bytes.data() + pos, 8);
+    pos += 8;
+    return true;
+  };
+  auto read_blob = [&](std::string_view* out) {
+    uint64_t len;
+    if (!read_u64(&len) || payload_end - pos < len) return false;
+    *out = bytes.substr(pos, len);
+    pos += len;
+    return true;
+  };
+
+  uint64_t stored_lsn;
+  std::string_view g1_bytes, g2_bytes, scores_bytes;
+  if (!read_u64(&stored_lsn) || stored_lsn != lsn) {
+    return Status::IOError("snapshot lsn does not match its filename");
+  }
+  if (!read_blob(&g1_bytes) || !read_blob(&g2_bytes) ||
+      !read_blob(&scores_bytes) || pos != payload_end) {
+    return Status::IOError("snapshot payload is malformed");
+  }
+
+  LoadedSnapshot snap;
+  snap.lsn = lsn;
+  // Both graphs share one dictionary, as the serving layer loads them.
+  FSIM_ASSIGN_OR_RETURN(snap.g1, GraphFromBinary(g1_bytes));
+  FSIM_ASSIGN_OR_RETURN(snap.g2, GraphFromBinary(g2_bytes, snap.g1.dict()));
+  FSIM_ASSIGN_OR_RETURN(snap.scores, version == kSnapshotVersion
+                                         ? ScoresFromBlob(scores_bytes)
+                                         : ScoresFromString(scores_bytes));
+  return snap;
+}
+
+std::string EncodeSnapshot(uint64_t lsn, const Graph& g1, const Graph& g2,
+                           const FSimScores& scores) {
+  const std::string g1_bytes = GraphToBinary(g1);
+  const std::string g2_bytes = GraphToBinary(g2);
+  const std::vector<uint64_t>& keys = scores.keys();
+  const std::vector<double>& values = scores.values();
+  const size_t keys_len = keys.size() * sizeof(uint64_t);
+  const size_t values_len = values.size() * sizeof(double);
+  const size_t scores_len = 8 + keys_len + values_len;
+  std::string bytes;
+  bytes.reserve(sizeof(kSnapshotMagic) + 4 + 8 + (8 + g1_bytes.size()) +
+                (8 + g2_bytes.size()) + (8 + scores_len) + 8);
+  bytes.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   AppendU32(&bytes, kSnapshotVersion);
   AppendU64(&bytes, lsn);
-  AppendBlob(&bytes, GraphToBinary(g1));
-  AppendBlob(&bytes, GraphToBinary(g2));
-  AppendBlob(&bytes, ScoresToString(scores));
-  AppendU64(&bytes, HashBytes(bytes.data() + sizeof(kSnapshotMagic),
-                              bytes.size() - sizeof(kSnapshotMagic)));
+  AppendBlob(&bytes, g1_bytes);
+  AppendBlob(&bytes, g2_bytes);
+  AppendU64(&bytes, scores_len);
+  AppendU64(&bytes, keys.size());
+  bytes.append(reinterpret_cast<const char*>(keys.data()), keys_len);
+  bytes.append(reinterpret_cast<const char*>(values.data()), values_len);
+  AppendU64(&bytes, WordHash64(bytes.data() + sizeof(kSnapshotMagic),
+                               bytes.size() - sizeof(kSnapshotMagic)));
+  return bytes;
+}
 
+Status WriteSnapshot(const std::string& dir, uint64_t lsn,
+                     std::string_view bytes) {
+  FSIM_FAILPOINT("serve.snapshot.persist");
   const std::string final_path = SnapshotPath(dir, lsn);
   const std::string tmp_path = final_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(),
@@ -230,22 +325,21 @@ Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
   return SyncDirectory(dir);
 }
 
+Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
+                       const Graph& g2, const FSimScores& scores) {
+  return WriteSnapshot(dir, lsn, EncodeSnapshot(lsn, g1, g2, scores));
+}
+
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
   FSIM_ASSIGN_OR_RETURN(auto snapshots, ListSnapshots(dir));
   size_t discarded = 0;
+  std::string bytes;
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
-    std::ifstream in(it->second, std::ios::binary);
-    if (!in) {
+    if (!ReadFile(it->second, &bytes).ok()) {
       ++discarded;
       continue;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-      ++discarded;
-      continue;
-    }
-    auto snap = ParseSnapshot(buffer.str(), it->first);
+    auto snap = ParseSnapshot(bytes, it->first);
     if (!snap.ok()) {
       ++discarded;
       continue;
@@ -261,6 +355,7 @@ Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
 
 Result<RecoveredState> RecoverServeState(const std::string& dir, Graph base_g1,
                                          Graph base_g2) {
+  FSIM_TRACE_SPAN("recovery.load");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {

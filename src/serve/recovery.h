@@ -4,25 +4,38 @@
 // The durability directory interleaves two kinds of files:
 //
 //   wal-<lsn>.log     edit records (see wal.h)
-//   snap-<lsn>.fsnap  a full state snapshot as of LSN <lsn>: both graphs
-//                     (binary format, graph/binary_io.h) and the converged
-//                     scores (text format, core/scores_io.h), framed with a
-//                     magic, version and whole-payload FNV checksum
+//   snap-<lsn>.fsnap  a full state snapshot as of LSN <lsn>
+//
+// A snapshot file (format version 2, all integers little-endian):
+//
+//   magic     8 bytes  "FSIMSNP1"
+//   version   u32      2
+//   lsn       u64      equal to the <lsn> in the filename
+//   g1, g2    u64 length + bytes each, binary format (graph/binary_io.h)
+//   scores    u64 length (8 + 16n), then u64 n, n u64 pair keys sorted
+//             strictly increasing (u-major), n f64 scores in [0, 1]
+//   checksum  u64      WordHash64 (common/hash.h) over everything after
+//                      the magic
+//
+// Version 1 files (the same frame with a text score blob, core/scores_io.h,
+// under an FNV-1a checksum) are still read, so a directory written by an
+// older build recovers; they are never written.
 //
 // Snapshots are written atomically (tmp file + fsync + rename + directory
 // fsync), so a crash mid-persist leaves either the old set or the old set
 // plus one complete new file — never a half-written visible snapshot.
 // Recovery walks snapshots newest-first, discards any that fail their
-// checksum, replays the WAL records with lsn > snapshot lsn, and reports
-// everything the caller (FSimService::Create) needs to rebuild: graphs at
-// the snapshot point, warm-seed scores, the replay tail, and the LSN the
-// writer should continue from.
+// checksum or validation, replays the WAL records with lsn > snapshot lsn,
+// and reports everything the caller (FSimService::Create) needs to
+// rebuild: graphs at the snapshot point, warm-seed scores, the replay tail,
+// and the LSN the writer should continue from.
 #ifndef FSIM_SERVE_RECOVERY_H_
 #define FSIM_SERVE_RECOVERY_H_
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -69,11 +82,22 @@ struct RecoveredState {
 
 /// Atomically persists a snapshot of both graphs and the scores as of
 /// `lsn`. On return the snapshot survives a crash; on error the previous
-/// snapshot set is untouched.
+/// snapshot set is untouched. Equivalent to WriteSnapshot(dir, lsn,
+/// EncodeSnapshot(lsn, g1, g2, scores)).
 Status PersistSnapshot(const std::string& dir, uint64_t lsn, const Graph& g1,
                        const Graph& g2, const FSimScores& scores);
 
-/// Loads the newest snapshot that validates, skipping corrupt ones.
+/// The snapshot file's bytes (the current format version) for `lsn`.
+std::string EncodeSnapshot(uint64_t lsn, const Graph& g1, const Graph& g2,
+                           const FSimScores& scores);
+
+/// Atomically writes encoded snapshot bytes as the snapshot for `lsn`.
+Status WriteSnapshot(const std::string& dir, uint64_t lsn,
+                     std::string_view bytes);
+
+/// Loads the newest snapshot that validates, skipping corrupt ones (a bad
+/// checksum, an unknown version, or a score blob whose size, key order,
+/// node ids or scores are out of range).
 /// NotFound when no snapshot validates (recovery then starts from the base
 /// graphs and replays the whole WAL).
 struct LoadedSnapshot {
@@ -84,6 +108,10 @@ struct LoadedSnapshot {
   size_t discarded = 0;  // corrupt snapshots skipped before this one
 };
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir);
+
+/// Decodes one snapshot file's bytes (either format version) whose filename
+/// names `lsn`. IOError for anything LoadLatestSnapshot would skip.
+Result<LoadedSnapshot> ParseSnapshot(std::string_view bytes, uint64_t lsn);
 
 /// Full recovery: ensures `dir` exists, loads the latest valid snapshot
 /// (falling back to the base graphs), reads the WAL with torn-tail

@@ -444,11 +444,16 @@ Status RefreshDriver::PersistSnapshotLocked() {
   FSIM_TRACE_SPAN("refresh.persist");
   const uint64_t persist_start_ns = obs::MonotonicNanos();
   Timer timer;
-  const FSimScores scores = inc_->Snapshot();
-  const Graph g1 = inc_->MaterializeG1();
-  const Graph g2 = inc_->MaterializeG2();
-  FSIM_RETURN_NOT_OK(
-      PersistSnapshot(durability_.dir, applied_lsn_, g1, g2, scores));
+  std::string bytes;
+  {
+    FSIM_TRACE_SPAN("refresh.persist.encode");
+    bytes = EncodeSnapshot(applied_lsn_, inc_->MaterializeG1(),
+                           inc_->MaterializeG2(), inc_->Snapshot());
+  }
+  {
+    FSIM_TRACE_SPAN("refresh.persist.write");
+    FSIM_RETURN_NOT_OK(WriteSnapshot(durability_.dir, applied_lsn_, bytes));
+  }
   ++stats_.snapshot_persists;
   stats_.total_persist_seconds += timer.Seconds();
   RefreshMetrics::Get().persist_latency->Record(obs::MonotonicNanos() -

@@ -122,6 +122,27 @@ TEST(HashTest, HashStringDiffersOnContent) {
   EXPECT_EQ(HashString("abc"), HashString("abc"));
 }
 
+TEST(HashTest, WordHash64IsPinnedAndSeesEveryBitAndLength) {
+  unsigned char buf[37];
+  for (int i = 0; i < 37; ++i) buf[i] = static_cast<unsigned char>(i * 7 + 1);
+  // The values are part of the .fsnap on-disk format.
+  EXPECT_EQ(WordHash64(nullptr, 0), 0x9CA066F1A4AB2EEAULL);
+  EXPECT_EQ(WordHash64(buf, sizeof(buf)), 0x28DB8269048944AFULL);
+  const uint64_t base = WordHash64(buf, sizeof(buf));
+  for (size_t byte = 0; byte < sizeof(buf); ++byte) {  // whole words + tail
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+      EXPECT_NE(WordHash64(buf, sizeof(buf)), base) << byte << ":" << bit;
+      buf[byte] ^= static_cast<unsigned char>(1u << bit);
+    }
+  }
+  // Zero bytes past the end still change the hash: the length is mixed in.
+  const unsigned char zeros[16] = {};
+  for (size_t len = 0; len < sizeof(zeros); ++len) {
+    EXPECT_NE(WordHash64(zeros, len), WordHash64(zeros, len + 1)) << len;
+  }
+}
+
 // ---------------------------------------------------------- FlatPairMap --
 
 TEST(FlatPairMapTest, InsertAndFind) {

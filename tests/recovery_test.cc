@@ -1,6 +1,7 @@
 // Crash-recovery tests for the durability layer (serve/wal.h,
 // serve/recovery.h, RefreshDriver::EnableDurability): snapshot
-// persist/load round trips with corruption fallback, WAL-tail replay
+// persist/load round trips with corruption fallback, a mutation fuzz of the
+// snapshot reader, version 1 read compatibility, WAL-tail replay
 // equivalence against a from-scratch recompute at 1e-12, torn-tail
 // truncation through the full recovery path, and a fork()-based abort
 // matrix that crashes the process at every serve-path failpoint site
@@ -10,18 +11,27 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/fsim_engine.h"
+#include "core/scores_io.h"
+#include "graph/binary_io.h"
 #include "graph/graph_builder.h"
 #include "serve/recovery.h"
 #include "serve/refresh.h"
@@ -141,10 +151,12 @@ TEST(SnapshotPersistTest, PersistLoadRoundTripAndRetention) {
   EXPECT_EQ(loaded->g1.NumNodes(), g.NumNodes());
   EXPECT_EQ(loaded->g1.NumEdges(), g.NumEdges());
   ASSERT_EQ(loaded->scores.keys(), scores->keys());
-  // Scores round-trip exactly (%.17g text payload).
-  for (size_t i = 0; i < scores->values().size(); ++i) {
-    EXPECT_EQ(loaded->scores.values()[i], scores->values()[i]);
-  }
+  // Scores round-trip bit for bit (the blob holds the raw f64 values).
+  ASSERT_EQ(loaded->scores.values().size(), scores->values().size());
+  EXPECT_EQ(std::memcmp(loaded->scores.values().data(),
+                        scores->values().data(),
+                        scores->values().size() * sizeof(double)),
+            0);
 
   // A newer snapshot wins; retention keeps the newest `keep`.
   ASSERT_TRUE(PersistSnapshot(dir, 9, g, g, *scores).ok());
@@ -213,6 +225,290 @@ TEST(SnapshotPersistTest, CorruptNewestSnapshotFallsBackToOlder) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->have_snapshot);
   EXPECT_EQ(recovered->snapshots_discarded, 2u);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+uint64_t GetU64(const std::string& bytes, size_t at) {
+  uint64_t v;
+  std::memcpy(&v, bytes.data() + at, 8);
+  return v;
+}
+
+void PutU64(std::string* bytes, size_t at, uint64_t v) {
+  std::memcpy(bytes->data() + at, &v, 8);
+}
+
+void PutF64(std::string* bytes, size_t at, double v) {
+  std::memcpy(bytes->data() + at, &v, 8);
+}
+
+/// Recomputes a version 2 snapshot's trailing checksum, so a mutant reaches
+/// the structural and range checks behind it.
+void ResealSnapshot(std::string* bytes) {
+  const size_t payload_end = bytes->size() - 8;
+  PutU64(bytes, payload_end, WordHash64(bytes->data() + 8, payload_end - 8));
+}
+
+/// Byte offsets of a version 2 snapshot's length fields and score arrays.
+struct SnapshotLayout {
+  size_t g1_len = 0;
+  size_t g2_len = 0;
+  size_t scores_len = 0;
+  size_t n = 0;
+  size_t keys = 0;
+  size_t values = 0;
+  size_t num_pairs = 0;
+};
+
+SnapshotLayout LayoutOf(const std::string& bytes) {
+  SnapshotLayout at;
+  at.g1_len = 8 + 4 + 8;  // magic, version, lsn
+  at.g2_len = at.g1_len + 8 + GetU64(bytes, at.g1_len);
+  at.scores_len = at.g2_len + 8 + GetU64(bytes, at.g2_len);
+  at.n = at.scores_len + 8;
+  at.keys = at.n + 8;
+  at.num_pairs = GetU64(bytes, at.n);
+  at.values = at.keys + 8 * at.num_pairs;
+  return at;
+}
+
+// Seeded mutation fuzz of the snapshot reader over a two-snapshot
+// directory. Byte flips, truncations and length-field edits (n and each
+// blob length), raw or with the checksum recomputed, and semantic mutants
+// of the score blob under a recomputed checksum must each fail with
+// IOError for the mutated file, and recovery must fall back to the older
+// snapshot (NotFound once that one is mutated too) — never crash (the
+// SnapshotPersist* ASan leg runs this) and never load the mutant.
+TEST(SnapshotPersistTest, MutatedSnapshotsFailCleanly) {
+  const std::string dir = FreshDir("mutated_snap");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Graph g = MakeServeGraph();
+  auto scores = ComputeFSim(g, g, TightConfig());
+  ASSERT_TRUE(scores.ok());
+  ASSERT_TRUE(PersistSnapshot(dir, 3, g, g, *scores).ok());
+  ASSERT_TRUE(PersistSnapshot(dir, 5, g, g, *scores).ok());
+  const std::string newest = dir + "/snap-00000000000000000005.fsnap";
+  const std::string older = dir + "/snap-00000000000000000003.fsnap";
+  const std::string original = ReadBytes(newest);
+  const std::string original_older = ReadBytes(older);
+  const SnapshotLayout at = LayoutOf(original);
+  ASSERT_GE(at.num_pairs, 2u);
+  ASSERT_EQ(at.values + 8 * at.num_pairs + 8, original.size());
+
+  auto expect_rejected = [&](const std::string& mutant, bool older_mutated,
+                             const std::string& what) {
+    auto parsed = ParseSnapshot(mutant, 5);
+    ASSERT_FALSE(parsed.ok()) << what;
+    EXPECT_TRUE(parsed.status().IsIOError())
+        << what << ": " << parsed.status().ToString();
+    WriteBytes(newest, mutant);
+    auto loaded = LoadLatestSnapshot(dir);
+    if (older_mutated) {
+      EXPECT_TRUE(loaded.status().IsNotFound()) << what;
+      return;
+    }
+    ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->lsn, 3u) << what;
+    EXPECT_EQ(loaded->discarded, 1u) << what;
+    EXPECT_EQ(loaded->scores.keys(), scores->keys()) << what;
+  };
+
+  // Semantic mutants of the score blob, each under a valid checksum.
+  const size_t last = at.num_pairs - 1;
+  const uint64_t n = at.num_pairs;
+  const uint64_t key0 = GetU64(original, at.keys);
+  const uint64_t key1 = GetU64(original, at.keys + 8);
+  const uint64_t key_last = GetU64(original, at.keys + 8 * last);
+  const std::vector<std::pair<const char*, std::function<void(std::string*)>>>
+      semantic = {
+          {"unsorted keys",
+           [&](std::string* b) {
+             PutU64(b, at.keys, key1);
+             PutU64(b, at.keys + 8, key0);
+           }},
+          {"duplicate key", [&](std::string* b) { PutU64(b, at.keys + 8, key0); }},
+          {"NaN score",
+           [&](std::string* b) {
+             PutF64(b, at.values, std::numeric_limits<double>::quiet_NaN());
+           }},
+          {"infinite score",
+           [&](std::string* b) {
+             PutF64(b, at.values, std::numeric_limits<double>::infinity());
+           }},
+          {"negative score",
+           [&](std::string* b) { PutF64(b, at.values, -0.25); }},
+          {"score above 1",
+           [&](std::string* b) {
+             PutF64(b, at.values + 8 * last, std::nextafter(1.0, 2.0));
+           }},
+          {"kInvalidNode as u",  // still the largest key
+           [&](std::string* b) {
+             PutU64(b, at.keys + 8 * last, PairKey(kInvalidNode, 0));
+           }},
+          {"kInvalidNode as v",
+           [&](std::string* b) {
+             PutU64(b, at.keys + 8 * last,
+                    PairKey(PairFirst(key_last), kInvalidNode));
+           }},
+          {"n too large for its blob",
+           [&](std::string* b) { PutU64(b, at.n, n + 1); }},
+          {"n too small for its blob",
+           [&](std::string* b) { PutU64(b, at.n, n - 1); }},
+          {"n whose 16n wraps to the blob size",
+           [&](std::string* b) { PutU64(b, at.n, n + (uint64_t{1} << 60)); }},
+          {"blob and n one pair past the file",
+           [&](std::string* b) {
+             PutU64(b, at.scores_len, GetU64(*b, at.scores_len) + 16);
+             PutU64(b, at.n, n + 1);
+           }},
+          {"score blob one byte short",
+           [&](std::string* b) {
+             PutU64(b, at.scores_len, GetU64(*b, at.scores_len) - 1);
+           }},
+          {"g1 blob one byte long",
+           [&](std::string* b) {
+             PutU64(b, at.g1_len, GetU64(*b, at.g1_len) + 1);
+           }},
+      };
+  for (const auto& [what, apply] : semantic) {
+    std::string bytes = original;
+    apply(&bytes);
+    ResealSnapshot(&bytes);
+    expect_rejected(bytes, /*older_mutated=*/false, what);
+  }
+
+  const size_t length_fields[] = {at.g1_len, at.g2_len, at.scores_len, at.n};
+  Rng rng(0x5A4F);
+  size_t resealed = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string bytes = original;
+    // Byte flips alone may decode to another valid snapshot once resealed,
+    // so only structural mutants (truncations, length edits) get resealed.
+    bool structural = false;
+    bool flipped = false;
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int m = 0; m < mutations && !bytes.empty(); ++m) {
+      const size_t pos = rng.NextBounded(bytes.size());
+      switch (rng.NextBounded(3)) {
+        case 0:  // byte flip
+          bytes[pos] = static_cast<char>(bytes[pos] ^
+                                         (1 + rng.NextBounded(255)));
+          flipped = true;
+          break;
+        case 1:  // truncation
+          bytes.resize(pos);
+          structural = true;
+          break;
+        default: {  // a length field: huge, zero, off by one or by a pair
+          const size_t field =
+              length_fields[rng.NextBounded(std::size(length_fields))];
+          if (field + 8 > bytes.size()) break;
+          const uint64_t v = GetU64(bytes, field);
+          const uint64_t choices[] = {~uint64_t{0}, 0,     v + 1, v - 1,
+                                      v + 16,       v - 16, rng.Next()};
+          PutU64(&bytes, field, choices[rng.NextBounded(std::size(choices))]);
+          structural = true;
+          break;
+        }
+      }
+    }
+    if (bytes == original) continue;
+    if (structural && !flipped && bytes.size() >= 28 &&
+        rng.NextBounded(2) == 0) {
+      ResealSnapshot(&bytes);
+      ++resealed;
+    }
+    const bool older_mutated = trial % 8 == 0;
+    if (older_mutated) {
+      WriteBytes(older, original_older.substr(0, original_older.size() / 2));
+    }
+    expect_rejected(bytes, older_mutated, StrFormat("trial %d", trial));
+    if (older_mutated) WriteBytes(older, original_older);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(resealed, 0u);
+}
+
+// A directory written before the binary score blob holds version 1 files:
+// the same frame with a text score blob under an FNV-1a checksum. They
+// must still recover, or an upgrade would drop the edits they cover (their
+// WAL segments are already deleted).
+TEST(SnapshotPersistTest, RecoversVersion1Snapshot) {
+  const std::string dir = FreshDir("v1_snap");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Graph g = MakeServeGraph();
+  auto scores = ComputeFSim(g, g, TightConfig());
+  ASSERT_TRUE(scores.ok());
+
+  auto put = [](std::string* out, const void* data, size_t len) {
+    out->append(static_cast<const char*>(data), len);
+  };
+  auto put_blob = [&](std::string* out, const std::string& blob) {
+    const uint64_t len = blob.size();
+    put(out, &len, 8);
+    out->append(blob);
+  };
+  std::string bytes = "FSIMSNP1";
+  const uint32_t version = 1;
+  const uint64_t lsn = 4;
+  put(&bytes, &version, 4);
+  put(&bytes, &lsn, 8);
+  put_blob(&bytes, GraphToBinary(g));
+  put_blob(&bytes, GraphToBinary(g));
+  put_blob(&bytes, ScoresToString(*scores));
+  const uint64_t checksum = HashBytes(bytes.data() + 8, bytes.size() - 8);
+  put(&bytes, &checksum, 8);
+  WriteBytes(dir + "/snap-00000000000000000004.fsnap", bytes);
+
+  const Graph base = MakeServeGraph();
+  auto recovered = RecoverServeState(dir, base, base);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_TRUE(recovered->have_snapshot);
+  EXPECT_EQ(recovered->snapshot_lsn, 4u);
+  EXPECT_EQ(recovered->snapshots_discarded, 0u);
+  EXPECT_EQ(recovered->g1.NumEdges(), g.NumEdges());
+  ASSERT_TRUE(recovered->scores.has_value());
+  EXPECT_EQ(recovered->scores->keys(), scores->keys());
+  EXPECT_EQ(recovered->scores->values(), scores->values());  // %.17g exact
+
+  // The same bytes under the version 2 checksum are corrupt.
+  std::string resealed = bytes;
+  ResealSnapshot(&resealed);
+  EXPECT_TRUE(ParseSnapshot(resealed, 4).status().IsIOError());
+}
+
+TEST(SnapshotPersistTest, RejectsUnknownVersion) {
+  const std::string dir = FreshDir("version3_snap");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const Graph g = MakeServeGraph();
+  auto scores = ComputeFSim(g, g, TightConfig());
+  ASSERT_TRUE(scores.ok());
+  ASSERT_TRUE(PersistSnapshot(dir, 3, g, g, *scores).ok());
+  ASSERT_TRUE(PersistSnapshot(dir, 5, g, g, *scores).ok());
+  const std::string newest = dir + "/snap-00000000000000000005.fsnap";
+  std::string bytes = ReadBytes(newest);
+  const uint32_t version = 3;
+  std::memcpy(bytes.data() + 8, &version, 4);
+  ResealSnapshot(&bytes);
+  WriteBytes(newest, bytes);
+
+  auto parsed = ParseSnapshot(bytes, 5);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsIOError()) << parsed.status().ToString();
+  auto loaded = LoadLatestSnapshot(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->lsn, 3u);
+  EXPECT_EQ(loaded->discarded, 1u);
 }
 
 TEST(RecoveryTest, CleanRestartReplaysWalTailWithin1e12) {
