@@ -96,8 +96,9 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
 Result<FSimScores> ScoresFromBlob(std::string_view blob) {
   uint64_t n = 0;
   if (blob.size() >= 8) std::memcpy(&n, blob.data(), 8);
-  if (blob.size() < 8 || n > (blob.size() - 8) / 16 ||
-      blob.size() != 8 + 16 * n || n >= FlatPairMap::kNotFound) {
+  // Positions are u32, and bounding n first keeps 16 * n from wrapping.
+  if (blob.size() < 8 || n >= FlatPairMap::kNotFound ||
+      blob.size() != 8 + 16 * n) {
     return Status::IOError("snapshot score blob size does not match its "
                            "pair count");
   }
