@@ -455,7 +455,7 @@ int main() {
   const SnapshotPtr snapshot = store.Acquire();
   report.pairs = snapshot->scores().NumPairs();
   const NodeId num_nodes = static_cast<NodeId>(g.NumNodes());
-  std::printf("pairs=%zu, top-k cache %.1f KiB\n", report.pairs,
+  std::printf("pairs=%zu, rank order %.1f KiB\n", report.pairs,
               static_cast<double>(snapshot->CacheBytes()) / 1024.0);
 
   // --- Single-pair query throughput, 1-8 reader threads. ---

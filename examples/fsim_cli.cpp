@@ -182,7 +182,7 @@ int RunValidate(const Graph& graph1, const Graph& target, FSimConfig config) {
     SharedFSimScores shared = FreezeScores(std::move(*scores));
     for (int round = 0; round < 2; ++round) {
       // The second round halves every third score over the same key set,
-      // so its top-k cache is carried forward with repairs and re-selects.
+      // so its rank order is carried forward, copying or merging each row.
       if (round == 1) {
         std::vector<double> values = shared->values();
         for (size_t i = 0; i < values.size(); i += 3) values[i] *= 0.5;

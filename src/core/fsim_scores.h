@@ -127,8 +127,8 @@ class FSimScores {
   std::vector<std::pair<NodeId, double>> TopK(NodeId u, size_t k) const;
 
   /// TopK appending into a caller-owned buffer (no per-call allocation once
-  /// out has capacity >= k); returns the number of entries appended. The
-  /// snapshot top-k cache builder (serve/snapshot.h) calls this per row.
+  /// out has capacity >= k); returns the number of entries appended.
+  /// FSimSnapshot::ValidateCache checks each ranked row against it.
   size_t TopKInto(NodeId u, size_t k,
                   std::vector<std::pair<NodeId, double>>* out) const;
 
@@ -148,7 +148,7 @@ class FSimScores {
 };
 
 /// Descending score, ties broken by ascending node id — the ranking order of
-/// every top-k surface (FSimScores::TopK, the snapshot top-k cache).
+/// every top-k surface (FSimScores::TopK, the snapshot rank order).
 inline bool RanksBefore(const std::pair<NodeId, double>& a,
                         const std::pair<NodeId, double>& b) {
   if (a.second != b.second) return a.second > b.second;

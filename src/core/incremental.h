@@ -163,6 +163,10 @@ class IncrementalFSim {
 
   const FSimConfig& config() const { return config_; }
 
+  /// The engine's worker pool; null at one thread. Free for other work
+  /// between engine calls (a pool runs one region at a time).
+  ThreadPool* pool() const { return pool_.get(); }
+
   /// False once any propagation was truncated (see EditStats::truncated) or
   /// the initial solve stopped above epsilon.
   bool converged() const { return converged_; }

@@ -8,31 +8,23 @@ namespace fsim {
 
 namespace {
 
-QueryEngine::Clock::time_point DeadlineFor(double budget_ms) {
-  if (budget_ms <= 0.0) return QueryEngine::Clock::time_point::max();
-  return QueryEngine::Clock::now() +
-         std::chrono::duration_cast<QueryEngine::Clock::duration>(
-             std::chrono::duration<double, std::milli>(budget_ms));
-}
-
-/// Best-effort TOPK from the snapshot's precomputed cache prefix: the first
-/// min(k, cache_k, |row|) ranked entries, no row scan, no allocation beyond
-/// the copy. Exact when k fits the cache — degraded only beyond it.
-std::vector<std::pair<NodeId, double>> CachePrefixTopK(
-    const FSimSnapshot& snapshot, NodeId u, size_t k, bool* degraded) {
-  const auto cached = snapshot.CachedTopK(u);
-  const size_t n = std::min(k, cached.size());
-  // A short cache row can be short because the row itself is short (exact)
-  // or because cache_k < k truncated it (degraded); only the latter can
-  // lose entries.
-  *degraded = k > snapshot.cache_k() && cached.size() == snapshot.cache_k();
-  return {cached.begin(), cached.begin() + n};
-}
-
 constexpr char kLatencyHelp[] =
     "End-to-end query latency by verb (snapshot pin or acquire + answer)";
 
 }  // namespace
+
+QueryEngine::Clock::time_point QueryEngine::DeadlineFor(double budget_ms) {
+  if (!(budget_ms > 0.0)) return Clock::time_point::max();  // also NaN
+  const Clock::time_point now = Clock::now();
+  // A budget past half the clock's remaining range (centuries) never
+  // expires; below it the nanosecond conversion and the sum cannot
+  // overflow.
+  const std::chrono::duration<double, std::milli> budget(budget_ms);
+  if (budget >= (Clock::time_point::max() - now) / 2) {
+    return Clock::time_point::max();
+  }
+  return now + std::chrono::duration_cast<Clock::duration>(budget);
+}
 
 QueryEngine::QueryEngine(const SnapshotStore* store, ThreadPool* pool)
     : store_(store), pool_(pool) {
@@ -62,36 +54,18 @@ QueryResult QueryEngine::Answer(const FSimSnapshot& snapshot,
       result.score = snapshot.PairScore(query.u, query.v);
       break;
     case Query::Kind::kTopK:
-      if (over_budget) {
-        result.entries = CachePrefixTopK(snapshot, query.u, query.k,
-                                         &result.degraded);
-      } else {
-        result.entries = snapshot.TopK(query.u, query.k);
-      }
+    case Query::Kind::kThreshold: {
+      // The full answer is a prefix of the ranked row; over budget it is
+      // cut to cache_k entries, and degraded iff that left one out.
+      const size_t full =
+          query.kind == Query::Kind::kTopK
+              ? std::min(query.k, snapshot.RankedRow(query.u).size())
+              : snapshot.CountAtLeast(query.u, query.tau);
+      const size_t n = over_budget ? std::min(full, snapshot.cache_k()) : full;
+      result.entries = snapshot.TopK(query.u, n);
+      result.degraded = n < full;
       break;
-    case Query::Kind::kThreshold:
-      if (over_budget) {
-        // Cache prefix filtered by tau: every returned entry is a true
-        // hit, but hits ranked past the cache depth are missing.
-        bool truncated = false;
-        auto prefix = CachePrefixTopK(snapshot, query.u,
-                                      snapshot.cache_k(), &truncated);
-        auto& entries = result.entries;
-        for (const auto& entry : prefix) {
-          if (entry.second >= query.tau) entries.push_back(entry);
-        }
-        // Degraded unless the cache provably holds the whole answer: the
-        // full (untruncated) row fit in the cache, or the prefix's tail
-        // already fell below tau.
-        const auto cached = snapshot.CachedTopK(query.u);
-        const bool complete =
-            (cached.size() < snapshot.cache_k()) ||
-            (!cached.empty() && cached.back().second < query.tau);
-        result.degraded = !complete;
-      } else {
-        result.entries = snapshot.ThresholdNeighbors(query.u, query.tau);
-      }
-      break;
+    }
   }
   return result;
 }

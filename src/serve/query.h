@@ -6,10 +6,10 @@
 //
 // Deadline budgets (overload degradation, docs/serving.md): a query may
 // carry a time budget. Once the budget is exhausted — typically midway
-// through a large batch — expensive answers degrade instead of blowing the
-// deadline: TOPK and THRESH fall back to the snapshot's precomputed top-k
-// cache prefix (exact for k <= cache_k, a best-effort prefix beyond it) and
-// the result is marked `degraded`. PAIR lookups are O(1) and never degrade.
+// through a large batch — long answers are cut short instead of blowing
+// the deadline: TOPK and THRESH return at most the snapshot's cache_k best
+// entries, and the result is marked `degraded` when that left an entry out.
+// PAIR lookups are O(1) and never degrade.
 #ifndef FSIM_SERVE_QUERY_H_
 #define FSIM_SERVE_QUERY_H_
 
@@ -50,8 +50,8 @@ struct QueryResult {
   uint64_t version = 0;
   double score = 0.0;                              // kPair
   std::vector<std::pair<NodeId, double>> entries;  // kTopK / kThreshold
-  /// True when the deadline budget forced a cache-prefix answer instead of
-  /// the exact row selection (entries may be fewer than requested).
+  /// True when the deadline budget cut the answer to cache_k entries and
+  /// that left out an entry the full answer holds.
   bool degraded = false;
 };
 
@@ -86,9 +86,13 @@ class QueryEngine {
   /// Batches of at least kParallelBatchMin queries run on the pool when one
   /// was supplied; results are in query order either way. `budget_ms` (0 =
   /// unlimited) is one shared deadline for the whole batch: queries
-  /// evaluated after it expires degrade to cache answers.
+  /// evaluated after it expires are cut to cache_k entries.
   Result<std::vector<QueryResult>> RunBatch(std::span<const Query> queries,
                                             double budget_ms = 0.0) const;
+
+  /// The deadline `budget_ms` from now; time_point::max() (none) for a
+  /// budget that is not positive, is NaN, or lies centuries out.
+  static Clock::time_point DeadlineFor(double budget_ms);
 
   /// Below this batch size the pool dispatch costs more than the queries.
   static constexpr size_t kParallelBatchMin = 64;
@@ -99,8 +103,8 @@ class QueryEngine {
   obs::Histogram* batch_latency() const { return latency_batch_; }
 
   /// The per-query evaluation, usable directly by callers that manage
-  /// snapshot lifetime themselves. Degrades expensive answers once
-  /// `deadline` has passed (the default never does).
+  /// snapshot lifetime themselves. Cuts TOPK and THRESH answers to cache_k
+  /// entries once `deadline` has passed (the default never does).
   static QueryResult Answer(const FSimSnapshot& snapshot, const Query& query,
                             Clock::time_point deadline =
                                 Clock::time_point::max());

@@ -44,7 +44,7 @@ struct RefreshMetrics {
           obs::Histogram::Unit::kNanoseconds);
       m.publish_latency = registry.GetHistogram(
           "fsim_refresh_publish_seconds",
-          "Snapshot copy + top-k cache build per publish",
+          "Snapshot copy + row ranking per publish",
           obs::Histogram::Unit::kNanoseconds);
       m.persist_latency = registry.GetHistogram(
           "fsim_refresh_persist_seconds",
@@ -419,16 +419,19 @@ void RefreshDriver::PublishLocked() {
     FSIM_TRACE_SPAN("refresh.publish.copy");
     scores = FreezeScores(inc_->Snapshot());  // copies the values only
   }
-  meta.build_seconds = timer.Seconds();  // + the cache build, in the ctor
+  meta.build_seconds = timer.Seconds();  // + the row ranking, in the ctor
   SnapshotPtr snapshot;
   {
     // The current snapshot shares the engine's key set (unless it is a
-    // warm start loaded from disk), so its top-k cache carries forward and
-    // only the rows this batch changed are repaired or re-selected.
+    // warm start loaded from disk), so its rank order carries forward and
+    // only the rows this batch changed are merged. The engine is idle
+    // under apply_mu_, so its pool sorts the rows of a cold build (the
+    // first publish).
     FSIM_TRACE_SPAN("refresh.publish.cache");
     const SnapshotPtr previous = store_->Acquire();
     snapshot = std::make_shared<const FSimSnapshot>(
-        std::move(scores), policy_.topk_cache_k, meta, previous.get());
+        std::move(scores), policy_.topk_cache_k, meta, previous.get(),
+        inc_->pool());
   }
   store_->Publish(std::move(snapshot));
   stats_.last_publish_seconds = timer.Seconds();

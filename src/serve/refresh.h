@@ -6,7 +6,7 @@
 // through Submit() from any thread (the serve loop, ingestion threads) and
 // are applied in drained batches: a burst touching the same edge coalesces
 // to its net effect before the O(deg) incremental repair runs, and a
-// publish — the snapshot copy plus top-k cache build — happens only when
+// publish — the snapshot copy plus row ranking — happens only when
 // the drift policy (edits applied since the last publish, or time behind)
 // fires, not per edit. Queries never see intermediate state: readers hold
 // the previously published snapshot until the atomic swap.
@@ -132,7 +132,8 @@ struct RefreshPolicy {
   /// Also publish when the current snapshot is at least this old and any
   /// edit has been applied since it (the background loop's timer).
   double max_seconds_behind = 2.0;
-  /// Top-k cache depth of published snapshots (FSimSnapshot cache_k).
+  /// Depth of over-budget (degraded) TOPK/THRESH answers from published
+  /// snapshots (FSimSnapshot cache_k).
   size_t topk_cache_k = 16;
   /// Background loop poll interval while idle.
   double poll_seconds = 0.05;

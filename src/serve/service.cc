@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -33,12 +34,16 @@ bool ParseU32(std::string_view token, uint32_t* out) {
   return true;
 }
 
+/// Parses a finite double; rejects nan, inf and out-of-range values.
 bool ParseDouble(std::string_view token, double* out) {
   const std::string s(token);
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size() || s.empty()) return false;
+  if (errno != 0 || end != s.c_str() + s.size() || s.empty() ||
+      !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -184,8 +189,10 @@ Result<std::unique_ptr<FSimService>> FSimService::Create(Graph g1, Graph g2,
       SnapshotMeta meta;
       meta.version = service->store_.NextVersion();
       meta.warm_start = true;
+      // No query runs yet, so the batch pool is free to rank the rows.
       service->store_.Publish(std::make_shared<const FSimSnapshot>(
-          FreezeScores(std::move(warm)), options.policy.topk_cache_k, meta));
+          FreezeScores(std::move(warm)), options.policy.topk_cache_k, meta,
+          nullptr, service->batch_pool_.get()));
     }
     service->driver_ = std::make_unique<RefreshDriver>(
         std::move(recovered.g1), std::move(recovered.g2), std::move(config),
@@ -200,8 +207,8 @@ Result<std::unique_ptr<FSimService>> FSimService::Create(Graph g1, Graph g2,
       meta.version = service->store_.NextVersion();
       meta.warm_start = true;
       service->store_.Publish(std::make_shared<const FSimSnapshot>(
-          FreezeScores(std::move(scores)), options.policy.topk_cache_k,
-          meta));
+          FreezeScores(std::move(scores)), options.policy.topk_cache_k, meta,
+          nullptr, service->batch_pool_.get()));
     }
     service->driver_ = std::make_unique<RefreshDriver>(
         std::move(g1), std::move(g2), std::move(config), options.incremental,
@@ -432,11 +439,7 @@ void FSimService::HandleBatch(size_t n, double budget_ms, std::istream& in,
     return;
   }
   const QueryEngine::Clock::time_point deadline =
-      budget_ms > 0.0
-          ? QueryEngine::Clock::now() +
-                std::chrono::duration_cast<QueryEngine::Clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget_ms))
-          : QueryEngine::Clock::time_point::max();
+      QueryEngine::DeadlineFor(budget_ms);
   out << StrFormat("BATCH %zu v%llu\n", n,
                    static_cast<unsigned long long>(
                        snapshot->meta().version));

@@ -1,7 +1,9 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "common/check.h"
@@ -13,7 +15,7 @@ namespace fsim {
 
 namespace {
 
-/// Cache-row dispositions across all snapshot builds, resolved once.
+/// Ranked-row dispositions across all snapshot builds, resolved once.
 struct CacheRowCounters {
   obs::Counter* carried;
   obs::Counter* repaired;
@@ -24,7 +26,7 @@ struct CacheRowCounters {
       obs::Registry& registry = obs::Registry::Default();
       constexpr char kFamily[] = "fsim_snapshot_cache_rows_total";
       constexpr char kHelp[] =
-          "Top-k cache rows per snapshot build, by how each was obtained";
+          "Rows ranked per snapshot build, by how each order was obtained";
       CacheRowCounters c;
       c.carried = registry.GetCounter(kFamily, kHelp, "kind", "carried");
       c.repaired = registry.GetCounter(kFamily, kHelp, "kind", "repaired");
@@ -35,21 +37,61 @@ struct CacheRowCounters {
   }
 };
 
+/// Rank order over the positions of one row: descending score, ties by
+/// position. A row's keys ascend in v, so ties by position are ties by node
+/// id and this is RanksBefore on the positions' (v, score) entries.
+struct RankLess {
+  const double* values;
+  bool operator()(uint32_t a, uint32_t b) const {
+    return values[a] > values[b] || (values[a] == values[b] && a < b);
+  }
+};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Below this many pairs a pool region costs more than a cold rank inline.
+constexpr size_t kParallelRankMinPairs = 16384;
+
 }  // namespace
 
 FSimSnapshot::FSimSnapshot(SharedFSimScores scores, size_t cache_k,
-                           SnapshotMeta meta, const FSimSnapshot* previous)
+                           SnapshotMeta meta, const FSimSnapshot* previous,
+                           ThreadPool* pool)
     : scores_(std::move(scores)), cache_k_(cache_k), meta_(meta) {
   // meta.build_seconds arrives holding the producer's cost of obtaining
-  // the frozen scores (e.g. the engine's values copy); the cache
-  // build below adds its own share so the published figure is the whole
-  // snapshot cost.
-  Timer cache_timer;
+  // the frozen scores (e.g. the engine's values copy); the ranking below
+  // adds its own share so the published figure is the whole snapshot cost.
+  Timer rank_timer;
+  const PairKeySet& set = *scores_->key_set();
   const bool carry = previous != nullptr &&
-                     previous->scores_->key_set() == scores_->key_set() &&
-                     previous->cache_k_ == cache_k_;
-  BuildCache(carry ? previous : nullptr);
-  meta_.build_seconds += cache_timer.Seconds();
+                     previous->scores_->key_set() == scores_->key_set();
+  if (!carry) previous = nullptr;
+  ranks_.resize(set.keys.size());
+  const size_t rows = set.NumRows();
+  // Only a cold build sorts every row; a carried one is O(rows + changes),
+  // which a pool region's wake-up would cost more than it saves.
+  if (previous == nullptr && pool != nullptr && pool->num_threads() > 1 &&
+      set.keys.size() >= kParallelRankMinPairs) {
+    std::vector<RankScratch> scratch(static_cast<size_t>(pool->num_threads()));
+    const size_t grain = std::max<size_t>(1, rows / (scratch.size() * 8));
+    pool->ParallelForChunked(rows, grain,
+                             [&](int worker, size_t begin, size_t end) {
+                               RankRows(begin, end, previous,
+                                        &scratch[static_cast<size_t>(worker)]);
+                             });
+    for (const RankScratch& part : scratch) {
+      cache_stats_.carried += part.stats.carried;
+      cache_stats_.repaired += part.stats.repaired;
+      cache_stats_.reselected += part.stats.reselected;
+    }
+  } else {
+    RankScratch scratch;
+    RankRows(0, rows, previous, &scratch);
+    cache_stats_ = scratch.stats;
+  }
+  meta_.build_seconds += rank_timer.Seconds();
   const CacheRowCounters& counters = CacheRowCounters::Get();
   counters.carried->Inc(cache_stats_.carried);
   counters.repaired->Inc(cache_stats_.repaired);
@@ -62,117 +104,77 @@ FSimSnapshot::FSimSnapshot(SharedFSimScores scores, size_t cache_k,
 #endif
 }
 
-void FSimSnapshot::BuildCache(const FSimSnapshot* previous) {
+void FSimSnapshot::RankRows(size_t begin, size_t end,
+                            const FSimSnapshot* previous,
+                            RankScratch* scratch) {
   const PairKeySet& set = *scores_->key_set();
-  if (set.keys.empty() || cache_k_ == 0) return;
-  const size_t rows = set.NumRows();
   const double* values = scores_->values().data();
   const double* before =
       previous != nullptr ? previous->scores_->values().data() : nullptr;
-  cache_offsets_.assign(rows + 1, 0);
-  floors_.resize(rows);
-  cache_entries_.reserve(std::min(set.keys.size(), rows * cache_k_));
-  std::vector<Entry> scratch;
-  for (size_t u = 0; u < rows; ++u) {
-    cache_offsets_[u] = static_cast<uint32_t>(cache_entries_.size());
+  const RankLess less{values};
+  for (size_t u = begin; u < end; ++u) {
     const auto [first, last] = set.RowRange(static_cast<NodeId>(u));
     if (first == last) continue;
-    const NodeId row = static_cast<NodeId>(u);
-    if (before != nullptr && std::memcmp(values + first, before + first,
-                                         (last - first) * sizeof(double)) == 0) {
-      const auto span = previous->CachedTopK(row);
-      cache_entries_.insert(cache_entries_.end(), span.begin(), span.end());
-      floors_[u] = previous->floors_[u];
-      ++cache_stats_.carried;
-    } else if (before != nullptr &&
-               RepairRow(row, first, last, *previous, &scratch)) {
-      ++cache_stats_.repaired;
-    } else {
-      SelectRow(row, last - first);
-      ++cache_stats_.reselected;
+    uint32_t* out = ranks_.data() + first;
+    if (before == nullptr) {
+      std::iota(out, out + (last - first), static_cast<uint32_t>(first));
+      std::sort(out, out + (last - first), less);
+      ++scratch->stats.reselected;
+      continue;
     }
-  }
-  cache_offsets_[rows] = static_cast<uint32_t>(cache_entries_.size());
-}
-
-bool FSimSnapshot::RepairRow(NodeId u, size_t first, size_t last,
-                             const FSimSnapshot& previous,
-                             std::vector<Entry>* scratch) {
-  const std::vector<uint64_t>& keys = scores_->keys();
-  const double* values = scores_->values().data();
-  const double* before = previous.scores_->values().data();
-  const auto cached = previous.CachedTopK(u);
-  // The cached entries in ascending v, merged against the row (whose keys
-  // ascend in v): a match re-reads the entry's new value, anything else is
-  // uncached, and matters only if it changed.
-  std::vector<Entry>& fresh = *scratch;
-  fresh.assign(cached.begin(), cached.end());
-  std::sort(fresh.begin(), fresh.end(),
-            [](const Entry& a, const Entry& b) { return a.first < b.first; });
-  size_t next = 0;
-  bool any_changed = false;
-  Entry best_changed;
-  for (size_t i = first; i < last; ++i) {
-    const NodeId v = PairSecond(keys[i]);
-    if (next < fresh.size() && fresh[next].first == v) {
-      fresh[next++].second = values[i];
-    } else if (std::memcmp(values + i, before + i, sizeof(double)) != 0) {
-      const Entry entry{v, values[i]};
-      if (!any_changed || RanksBefore(entry, best_changed)) {
-        best_changed = entry;
-        any_changed = true;
+    const uint32_t* order = previous->ranks_.data() + first;
+    if (std::memcmp(values + first, before + first,
+                    (last - first) * sizeof(double)) == 0) {
+      std::copy(order, order + (last - first), out);
+      ++scratch->stats.carried;
+      continue;
+    }
+    // Unchanged positions keep their relative order, so only the changed
+    // ones need sorting before the two runs merge.
+    std::vector<uint32_t>& kept = scratch->kept;
+    std::vector<uint32_t>& changed = scratch->changed;
+    kept.clear();
+    changed.clear();
+    for (const uint32_t* p = order; p != order + (last - first); ++p) {
+      if (SameBits(values[*p], before[*p])) kept.push_back(*p);
+    }
+    for (size_t i = first; i < last; ++i) {
+      if (!SameBits(values[i], before[i])) {
+        changed.push_back(static_cast<uint32_t>(i));
       }
     }
+    std::sort(changed.begin(), changed.end(), less);
+    std::merge(kept.begin(), kept.end(), changed.begin(), changed.end(), out,
+               less);
+    ++scratch->stats.repaired;
   }
-  const bool row_fits = last - first <= cache_k_;
-  if (!row_fits) {
-    const Entry weakest = *std::max_element(fresh.begin(), fresh.end(),
-                                            RanksBefore);
-    const Entry& floor = previous.floors_[u];
-    if (!RanksBefore(weakest, floor)) return false;
-    if (any_changed && !RanksBefore(weakest, best_changed)) return false;
-    // Unchanged uncached entries still rank at or after the old floor,
-    // changed ones at or after best_changed.
-    floors_[u] =
-        any_changed && RanksBefore(best_changed, floor) ? best_changed : floor;
-  }
-  std::sort(fresh.begin(), fresh.end(), RanksBefore);
-  cache_entries_.insert(cache_entries_.end(), fresh.begin(), fresh.end());
-  return true;
-}
-
-void FSimSnapshot::SelectRow(NodeId u, size_t row_size) {
-  if (row_size <= cache_k_) {
-    scores_->TopKInto(u, row_size, &cache_entries_);
-    return;
-  }
-  scores_->TopKInto(u, cache_k_ + 1, &cache_entries_);
-  floors_[u] = cache_entries_.back();
-  cache_entries_.pop_back();
 }
 
 Status FSimSnapshot::ValidateCache() const {
   ValidatorCounters::Bump("FSimSnapshot::ValidateCache");
   const PairKeySet& set = *scores_->key_set();
-  std::vector<Entry> expect;
+  const std::vector<uint64_t>& keys = scores_->keys();
+  const std::vector<double>& values = scores_->values();
+  if (ranks_.size() != keys.size()) {
+    return Status::Internal("rank order holds " +
+                            std::to_string(ranks_.size()) + " positions for " +
+                            std::to_string(keys.size()) + " pairs");
+  }
+  std::vector<std::pair<NodeId, double>> expect;
   for (size_t u = 0; u < set.NumRows(); ++u) {
     const NodeId row = static_cast<NodeId>(u);
     const auto [first, last] = set.RowRange(row);
-    const size_t row_size = last - first;
-    const size_t depth = std::min(row_size, cache_k_);
     expect.clear();
-    scores_->TopKInto(row, row_size > cache_k_ ? cache_k_ + 1 : row_size,
-                      &expect);
-    const auto cached = CachedTopK(row);
-    if (cached.size() != depth ||
-        !std::equal(cached.begin(), cached.end(), expect.begin())) {
-      return Status::Internal("top-k cache row " + std::to_string(u) +
-                              " differs from a cold selection");
-    }
-    if (cache_k_ > 0 && row_size > cache_k_ &&
-        RanksBefore(expect[cache_k_], floors_[u])) {
-      return Status::Internal("top-k cache row " + std::to_string(u) +
-                              ": floor ranks after the best uncached entry");
+    scores_->TopKInto(row, last - first, &expect);
+    const std::span<const uint32_t> ranked = RankedRow(row);
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      const uint32_t p = ranked[i];
+      if (p < first || p >= last || PairSecond(keys[p]) != expect[i].first ||
+          !SameBits(values[p], expect[i].second)) {
+        return Status::Internal("rank order of row " + std::to_string(u) +
+                                " differs from a cold sort at rank " +
+                                std::to_string(i));
+      }
     }
   }
   return Status::OK();
@@ -180,36 +182,27 @@ Status FSimSnapshot::ValidateCache() const {
 
 std::vector<std::pair<NodeId, double>> FSimSnapshot::TopK(NodeId u,
                                                           size_t k) const {
-  auto cached = CachedTopK(u);
-  if (k <= cache_k_ || cached.size() < cache_k_) {
-    // The cache prefix answers exactly: either k fits in it, or the row is
-    // shorter than the cache depth (so the cache holds the whole row).
-    auto end = cached.begin() + std::min(k, cached.size());
-    return {cached.begin(), end};
+  const std::span<const uint32_t> ranked = RankedRow(u);
+  const size_t n = std::min(k, ranked.size());
+  const uint64_t* keys = scores_->keys().data();
+  const double* values = scores_->values().data();
+  std::vector<std::pair<NodeId, double>> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.emplace_back(PairSecond(keys[ranked[i]]), values[ranked[i]]);
   }
-  return scores_->TopK(u, k);
+  return out;
 }
 
-std::vector<std::pair<NodeId, double>> FSimSnapshot::ThresholdNeighbors(
-    NodeId u, double tau) const {
-  // If the cache holds the whole row, or its weakest cached entry already
-  // falls below tau, the matches are a prefix of the cache — no row scan.
-  auto cached = CachedTopK(u);
-  if (cached.size() < cache_k_ ||
-      (!cached.empty() && cached.back().second < tau)) {
-    auto end = std::partition_point(
-        cached.begin(), cached.end(),
-        [tau](const std::pair<NodeId, double>& e) { return e.second >= tau; });
-    return {cached.begin(), end};
-  }
-  std::vector<std::pair<NodeId, double>> out = scores_->Row(u);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [tau](const std::pair<NodeId, double>& e) {
-                             return e.second < tau;
-                           }),
-            out.end());
-  std::sort(out.begin(), out.end(), RanksBefore);
-  return out;
+size_t FSimSnapshot::CountAtLeast(NodeId u, double tau) const {
+  const std::span<const uint32_t> ranked = RankedRow(u);
+  const double* values = scores_->values().data();
+  return static_cast<size_t>(
+      std::partition_point(ranked.begin(), ranked.end(),
+                           [values, tau](uint32_t p) {
+                             return values[p] >= tau;
+                           }) -
+      ranked.begin());
 }
 
 namespace {

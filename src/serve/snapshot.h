@@ -1,13 +1,13 @@
 // Versioned, immutable score snapshots — the unit of publication of the
 // serving layer (serve/service.h). A snapshot freezes one FSimScores table
-// (shared, never copied after freeze), precomputes a per-node top-k cache so
-// the hot TopK query never rescans a row, and carries version/provenance
-// metadata. SnapshotStore is the publish/read rendezvous: publishing swaps
-// the current snapshot under the publisher mutex; a single query reads it
-// through a per-thread pin that costs one shared load and no shared write
-// while the version is unchanged, and an owning Acquire() hands out a
-// reference for batches. A snapshot stays alive until its last reference —
-// the store's, a reader's, or a thread's pin — drops it.
+// (shared, never copied after freeze), ranks every row once so TopK and
+// ThresholdNeighbors never scan or sort a row, and carries version/
+// provenance metadata. SnapshotStore is the publish/read rendezvous:
+// publishing swaps the current snapshot under the publisher mutex; a single
+// query reads it through a per-thread pin that costs one shared load and no
+// shared write while the version is unchanged, and an owning Acquire()
+// hands out a reference for batches. A snapshot stays alive until its last
+// reference — the store's, a reader's, or a thread's pin — drops it.
 #ifndef FSIM_SERVE_SNAPSHOT_H_
 #define FSIM_SERVE_SNAPSHOT_H_
 
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/fsim_scores.h"
 #include "graph/graph.h"
 
@@ -44,115 +45,104 @@ struct SnapshotMeta {
   /// than computed in-process.
   bool warm_start = false;
   /// Wall-clock cost of building this snapshot: the producer's score
-  /// copy/load cost (pre-filled by the caller) plus the top-k cache build
-  /// (added by the FSimSnapshot constructor).
+  /// copy/load cost (pre-filled by the caller) plus the row ranking (added
+  /// by the FSimSnapshot constructor).
   double build_seconds = 0.0;
 };
 
-/// How the rows of one snapshot's top-k cache were obtained (rows with no
+/// How the rows of one snapshot's rank order were obtained (rows with no
 /// pairs are not counted).
 struct CacheBuildStats {
-  size_t carried = 0;     // values bitwise unchanged: previous span copied
-  size_t repaired = 0;    // changed; previous entries re-read and re-sorted
-  size_t reselected = 0;  // selected from the row with TopKInto
+  size_t carried = 0;     // values bitwise unchanged: previous order copied
+  size_t repaired = 0;    // changed: previous order merged with the changes
+  size_t reselected = 0;  // sorted cold (no usable previous snapshot)
 };
 
 /// An immutable, query-ready view of one score version: frozen shared
-/// scores plus a per-node top-k cache (the first `cache_k` ranked entries
-/// of every row).
+/// scores plus every row's rank order (descending score, ties by node id).
 class FSimSnapshot {
  public:
-  /// Builds the top-k cache over `scores` in one walk over the rows. With
-  /// a `previous` snapshot over the same key set (the same
-  /// FSimScores::key_set() pointer) and the same cache_k, its cache is
-  /// carried forward: a row whose values are bitwise unchanged copies
-  /// previous's span, and a changed row is repaired from it when that is
-  /// provably exact (see RepairRow). Every other row — all of them without
-  /// a usable `previous`, a cold build — is selected with
-  /// FSimScores::TopKInto, O(row log k). Either way the cache equals a cold
-  /// build's exactly.
+  /// Ranks every row of `scores`. With a `previous` snapshot over the same
+  /// key set (the same FSimScores::key_set() pointer) its order is carried
+  /// forward: a row whose values are bitwise unchanged copies previous's
+  /// order, and a changed row keeps its unchanged positions in previous's
+  /// order and merges in its changed positions, sorted — O(r + c log c) for
+  /// c changes in a row of r. Without a usable `previous` (a cold build)
+  /// every row is sorted. Either way the order equals a cold sort's
+  /// exactly. `pool`, when given, sorts the rows of a cold build in
+  /// parallel; it must not run another region meanwhile. `cache_k` is the
+  /// depth of over-budget (degraded) answers, see QueryEngine::Answer.
   FSimSnapshot(SharedFSimScores scores, size_t cache_k, SnapshotMeta meta,
-               const FSimSnapshot* previous = nullptr);
+               const FSimSnapshot* previous = nullptr,
+               ThreadPool* pool = nullptr);
 
   /// FSimχ(u, v); 0 for pairs outside the maintained candidate set.
   double PairScore(NodeId u, NodeId v) const { return scores_->Score(u, v); }
 
   bool Contains(NodeId u, NodeId v) const { return scores_->Contains(u, v); }
 
-  /// The cached ranking prefix of row u: min(cache_k, |row u|) entries,
-  /// descending score (ties by node id). Empty for nodes without
+  /// Row u's positions (indices into scores().keys() and values()) in rank
+  /// order: descending score, ties by node id. Empty for nodes without
   /// maintained pairs.
-  std::span<const std::pair<NodeId, double>> CachedTopK(NodeId u) const {
-    if (static_cast<size_t>(u) + 1 >= cache_offsets_.size()) return {};
-    return {cache_entries_.data() + cache_offsets_[u],
-            cache_entries_.data() + cache_offsets_[u + 1]};
+  std::span<const uint32_t> RankedRow(NodeId u) const {
+    const auto [first, last] = scores_->key_set()->RowRange(u);
+    return {ranks_.data() + first, last - first};
   }
 
-  /// The k best (v, score) for u. Served from the cache when k <= cache_k
-  /// (no row scan); falls back to FSimScores::TopK selection otherwise.
+  /// The min(k, |row u|) best (v, score) for u, descending (ties by node
+  /// id): a copy of the ranked prefix, O(k) for every k.
   std::vector<std::pair<NodeId, double>> TopK(NodeId u, size_t k) const;
 
-  /// All (v, score) of row u with score >= tau, descending (ties by id).
+  /// How many entries of row u score >= tau: a binary search over the
+  /// ranked row, O(log |row|).
+  size_t CountAtLeast(NodeId u, double tau) const;
+
+  /// All (v, score) of row u with score >= tau, descending (ties by id),
+  /// in O(log |row| + answer).
   std::vector<std::pair<NodeId, double>> ThresholdNeighbors(NodeId u,
-                                                            double tau) const;
+                                                            double tau) const {
+    return TopK(u, CountAtLeast(u, tau));
+  }
 
   const FSimScores& scores() const { return *scores_; }
   SharedFSimScores shared_scores() const { return scores_; }
   const SnapshotMeta& meta() const { return meta_; }
+  /// Depth of an over-budget (degraded) TOPK or THRESH answer.
   size_t cache_k() const { return cache_k_; }
 
-  /// How this snapshot's cache rows were obtained.
+  /// How this snapshot's rows were ranked.
   const CacheBuildStats& cache_build_stats() const { return cache_stats_; }
 
-  /// Heap footprint of the top-k cache.
-  size_t CacheBytes() const {
-    return cache_entries_.capacity() * sizeof(cache_entries_[0]) +
-           cache_offsets_.capacity() * sizeof(uint32_t) +
-           floors_.capacity() * sizeof(floors_[0]);
-  }
+  /// Heap footprint of the rank order (4 bytes per pair).
+  size_t CacheBytes() const { return ranks_.capacity() * sizeof(uint32_t); }
 
-  /// Compares every row's cached entries with a cold TopKInto selection of
-  /// the same row, and checks that each stored floor ranks at or before the
-  /// best uncached entry. Runs automatically after every carried-forward
-  /// build under FSIM_DEBUG_CHECKS. Bumps ValidatorCounters
-  /// "FSimSnapshot::ValidateCache".
+  /// Compares every row's rank order with a cold FSimScores::TopKInto
+  /// selection of the whole row. Runs automatically after every
+  /// carried-forward build under FSIM_DEBUG_CHECKS. Bumps
+  /// ValidatorCounters "FSimSnapshot::ValidateCache".
   Status ValidateCache() const;
 
  private:
-  // check_test.cc corrupts the cache and floors through this to prove
-  // ValidateCache catches them.
+  // check_test.cc corrupts the rank order through this to prove
+  // ValidateCache catches it.
   friend struct FSimSnapshotTestAccess;
 
-  using Entry = std::pair<NodeId, double>;
+  /// Per-worker state of one ranking walk.
+  struct RankScratch {
+    std::vector<uint32_t> kept;     // unchanged positions, previous order
+    std::vector<uint32_t> changed;  // changed positions
+    CacheBuildStats stats;
+  };
 
-  /// The cache build walk; `previous` is null for a cold build.
-  void BuildCache(const FSimSnapshot* previous);
-
-  /// Repairs changed row u (positions [first, last)) from previous's
-  /// cached entries C: re-reads their new values, and appends them sorted
-  /// iff they are still the row's exact top min(k, |row|). That holds when
-  /// the weakest re-read entry m ranks before previous's floor of u (so
-  /// before every unchanged uncached entry) and before every changed
-  /// uncached entry. Returns false, appending nothing, otherwise.
-  /// `scratch` is reused across rows.
-  bool RepairRow(NodeId u, size_t first, size_t last,
-                 const FSimSnapshot& previous, std::vector<Entry>* scratch);
-
-  /// Selects row u (`row_size` pairs) with TopKInto, one entry deeper than
-  /// the cache so the exact floor comes for free.
-  void SelectRow(NodeId u, size_t row_size);
+  /// Ranks rows [begin, end); `previous` is null for a cold build.
+  void RankRows(size_t begin, size_t end, const FSimSnapshot* previous,
+                RankScratch* scratch);
 
   SharedFSimScores scores_;
   size_t cache_k_;
-  // CSR over u: row u's cached entries live in
-  // cache_entries_[cache_offsets_[u] .. cache_offsets_[u + 1]).
-  std::vector<uint32_t> cache_offsets_;
-  std::vector<Entry> cache_entries_;
-  // Per row longer than cache_k_: an entry ranking at or before every
-  // uncached entry of the row — exactly the best uncached entry when the
-  // row was last selected, a conservative bound after repairs. Unused for
-  // shorter rows (the cache holds the whole row).
-  std::vector<Entry> floors_;
+  // Row u's positions in rank order fill ranks_[first, last), where
+  // [first, last) is the row's key range (PairKeySet::RowRange).
+  std::vector<uint32_t> ranks_;
   CacheBuildStats cache_stats_;
   SnapshotMeta meta_;
 };

@@ -55,12 +55,7 @@ struct SnapshotStoreTestAccess {
 };
 
 struct FSimSnapshotTestAccess {
-  static std::vector<std::pair<NodeId, double>>& Entries(FSimSnapshot& s) {
-    return s.cache_entries_;
-  }
-  static std::vector<std::pair<NodeId, double>>& Floors(FSimSnapshot& s) {
-    return s.floors_;
-  }
+  static std::vector<uint32_t>& Ranks(FSimSnapshot& s) { return s.ranks_; }
 };
 
 struct IncrementalNeighborIndexTestAccess {
@@ -425,11 +420,10 @@ TEST(ValidateChainTest, StalePublishRejectedAndChainStaysValid) {
   EXPECT_EQ(store.version(), 2u);
 }
 
-// ------------------------------------------------- top-k cache corruption --
+// -------------------------------------------------- rank order corruption --
 
-/// A 1 x 4 score table (row 0 scores 0.9, 0.7, 0.5, 0.3) under a depth-2
-/// cache, so row 0 has a floor.
-FSimSnapshot MakeCachedSnapshot() {
+/// A 1 x 4 score table (row 0 scores 0.9, 0.7, 0.5, 0.3), ranked.
+FSimSnapshot MakeRankedSnapshot() {
   std::vector<uint64_t> keys;
   FlatPairMap index(4);
   for (NodeId v = 0; v < 4; ++v) {
@@ -443,24 +437,17 @@ FSimSnapshot MakeCachedSnapshot() {
 }
 
 TEST(ValidateCacheTest, CleanCachePasses) {
-  const FSimSnapshot snapshot = MakeCachedSnapshot();
+  const FSimSnapshot snapshot = MakeRankedSnapshot();
   EXPECT_TRUE(snapshot.ValidateCache().ok());
 }
 
-TEST(ValidateCacheTest, CatchesWrongCachedEntry) {
-  FSimSnapshot snapshot = MakeCachedSnapshot();
-  FSimSnapshotTestAccess::Entries(snapshot)[1] = {2, 0.5};  // not the 2nd best
+TEST(ValidateCacheTest, CatchesSwappedRankedPositions) {
+  FSimSnapshot snapshot = MakeRankedSnapshot();
+  std::vector<uint32_t>& ranks = FSimSnapshotTestAccess::Ranks(snapshot);
+  std::swap(ranks[2], ranks[3]);  // 0.3 now ranks before 0.5
   const Status st = snapshot.ValidateCache();
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("cold selection"), std::string::npos);
-}
-
-TEST(ValidateCacheTest, CatchesFloorBelowBestUncached) {
-  FSimSnapshot snapshot = MakeCachedSnapshot();
-  FSimSnapshotTestAccess::Floors(snapshot)[0] = {3, 0.3};  // (2, 0.5) ranks first
-  const Status st = snapshot.ValidateCache();
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("floor"), std::string::npos);
+  EXPECT_NE(st.ToString().find("cold sort at rank 2"), std::string::npos);
 }
 
 // ---------------------------------------------------- ThreadPool validator --

@@ -1,4 +1,4 @@
-// Tests for the serving layer (src/serve/): snapshot top-k cache
+// Tests for the serving layer (src/serve/): snapshot rank order
 // correctness, publish/acquire semantics, refresh-driver coalescing and
 // policy, a readers-vs-publisher stress test (readers must always observe
 // a complete, internally consistent snapshot — no torn top-k lists), a
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -20,6 +21,7 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/incremental.h"
 #include "core/fsim_engine.h"
 #include "core/scores_io.h"
@@ -103,15 +105,17 @@ TEST(SnapshotTest, CacheMatchesScoresAndServesQueries) {
   EXPECT_GT(snapshot.CacheBytes(), 0u);
 
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    // The cache holds exactly the first min(4, |row|) ranked entries.
-    const auto want4 = ReferenceTopK(reference, u, 4);
-    const auto cached = snapshot.CachedTopK(u);
-    ASSERT_EQ(cached.size(), want4.size()) << "u=" << u;
-    for (size_t i = 0; i < cached.size(); ++i) {
-      EXPECT_EQ(cached[i], want4[i]) << "u=" << u;
+    // The ranked row is a permutation of the row's positions.
+    const auto [first, last] = reference.key_set()->RowRange(u);
+    std::vector<uint32_t> ranked(snapshot.RankedRow(u).begin(),
+                                 snapshot.RankedRow(u).end());
+    std::sort(ranked.begin(), ranked.end());
+    ASSERT_EQ(ranked.size(), last - first) << "u=" << u;
+    for (size_t i = 0; i < ranked.size(); ++i) {
+      EXPECT_EQ(ranked[i], first + i) << "u=" << u;
     }
-    // k <= cache_k serves from the cache; k > cache_k falls back to
-    // selection — both must match the reference ranking.
+    // Every k, within and past cache_k, copies a prefix of the ranked row
+    // and must match the reference ranking.
     for (size_t k : {size_t{2}, size_t{4}, size_t{9}}) {
       const auto got = snapshot.TopK(u, k);
       const auto want = ReferenceTopK(reference, u, k);
@@ -140,24 +144,69 @@ TEST(SnapshotTest, CacheMatchesScoresAndServesQueries) {
   }
 }
 
-/// One snapshot's cache, row by row, as plain vectors.
-std::vector<std::vector<std::pair<NodeId, double>>> CacheRows(
-    const FSimSnapshot& snapshot) {
-  std::vector<std::vector<std::pair<NodeId, double>>> rows;
+/// One snapshot's rank order, row by row, as plain vectors.
+std::vector<std::vector<uint32_t>> RankRows(const FSimSnapshot& snapshot) {
+  std::vector<std::vector<uint32_t>> rows;
   for (size_t u = 0; u < snapshot.scores().key_set()->NumRows(); ++u) {
-    const auto cached = snapshot.CachedTopK(static_cast<NodeId>(u));
-    rows.emplace_back(cached.begin(), cached.end());
+    const auto ranked = snapshot.RankedRow(static_cast<NodeId>(u));
+    rows.emplace_back(ranked.begin(), ranked.end());
   }
   return rows;
 }
 
-// Publishing carries the previous snapshot's top-k cache forward: after
-// every edit of random insert/remove streams, the carried cache must equal
-// a cold build of the same scores for every variant, θ and cache depth (64
-// is longer than every row here, so whole-row caches are covered). A
-// snapshot retained from an early version must stay exactly as built, and
-// Snapshot() must keep handing out the engine's full key set and values.
-TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
+/// The first TopK or ThresholdNeighbors answer of `snapshot` that differs
+/// from a naive full sort of FSimScores::Row(u), described; empty when all
+/// agree. Checks k in {1, cache_k, cache_k + 1, |row|, |row| + 1} and tau
+/// at, just above and just below every distinct score of the row.
+std::string FirstRankedAnswerMismatch(const FSimSnapshot& snapshot) {
+  const FSimScores& scores = snapshot.scores();
+  const size_t cache_k = snapshot.cache_k();
+  for (size_t row = 0; row < scores.key_set()->NumRows(); ++row) {
+    const NodeId u = static_cast<NodeId>(row);
+    const auto full = ReferenceTopK(scores, u, SIZE_MAX);
+    for (size_t k : {size_t{1}, cache_k, cache_k + 1, full.size(),
+                     full.size() + 1}) {
+      const std::vector<std::pair<NodeId, double>> want(
+          full.begin(), full.begin() + std::min(k, full.size()));
+      if (snapshot.TopK(u, k) != want) {
+        return "TopK u=" + std::to_string(u) + " k=" + std::to_string(k);
+      }
+    }
+    for (const auto& [v, score] : full) {
+      for (double tau : {score, std::nextafter(score, 2.0),
+                         std::nextafter(score, -1.0)}) {
+        std::vector<std::pair<NodeId, double>> want;
+        for (const auto& entry : full) {
+          if (entry.second >= tau) want.push_back(entry);
+        }
+        if (snapshot.ThresholdNeighbors(u, tau) != want ||
+            snapshot.CountAtLeast(u, tau) != want.size()) {
+          return "ThresholdNeighbors u=" + std::to_string(u) +
+                 " tau=" + std::to_string(tau);
+        }
+      }
+    }
+  }
+  return "";
+}
+
+/// Rows of `snapshot` that hold at least one pair.
+size_t NonEmptyRows(const FSimSnapshot& snapshot) {
+  size_t rows = 0;
+  for (size_t u = 0; u < snapshot.scores().key_set()->NumRows(); ++u) {
+    rows += !snapshot.RankedRow(static_cast<NodeId>(u)).empty();
+  }
+  return rows;
+}
+
+// Publishing carries the previous snapshot's rank order forward: after
+// every edit of random insert/remove streams, the carried order must equal
+// a cold build's for every variant and θ, and both must answer TopK and
+// ThresholdNeighbors exactly as a full sort of the row does, for every
+// cache depth (64 is longer than every row here). A snapshot retained from
+// an early version must stay exactly as built, and Snapshot() must keep
+// handing out the engine's full key set and values.
+TEST(SnapshotCarryTest, CarriedRanksEqualColdBuildAcrossEditStreams) {
   constexpr size_t kDepths[] = {1, 4, 16, 64};
   CacheBuildStats totals;
   for (SimVariant variant :
@@ -178,7 +227,7 @@ TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
       SnapshotPtr retained;
       std::vector<uint64_t> retained_keys;
       std::vector<double> retained_values;
-      std::vector<std::vector<std::pair<NodeId, double>>> retained_cache;
+      std::vector<std::vector<uint32_t>> retained_ranks;
       Rng rng(0x5EED + static_cast<uint64_t>(variant));
       const NodeId n = static_cast<NodeId>(inc->g1().NumNodes());
       for (int e = 0; e < 14; ++e) {
@@ -206,20 +255,30 @@ TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
               << where << " edit " << e;
         }
         for (size_t d = 0; d < std::size(kDepths); ++d) {
+          const std::string at = where + " cache_k=" +
+                                 std::to_string(kDepths[d]) + " edit " +
+                                 std::to_string(e);
           SnapshotMeta meta;
           meta.version = static_cast<uint64_t>(e) + 1;
           auto next = std::make_shared<const FSimSnapshot>(
               scores, kDepths[d], meta, carried[d].get());
           const FSimSnapshot cold(scores, kDepths[d], meta);
-          ASSERT_EQ(CacheRows(*next), CacheRows(cold))
-              << where << " cache_k=" << kDepths[d] << " edit " << e;
+          ASSERT_EQ(RankRows(*next), RankRows(cold)) << at;
+          ASSERT_EQ(FirstRankedAnswerMismatch(*next), "") << at;
+          ASSERT_EQ(FirstRankedAnswerMismatch(cold), "") << at;
           const Status valid = next->ValidateCache();
           ASSERT_TRUE(valid.ok()) << valid.ToString();
+          // A cold build sorts every row; a carried one copies or merges.
+          const CacheBuildStats& cold_stats = cold.cache_build_stats();
+          EXPECT_EQ(cold_stats.reselected, NonEmptyRows(cold)) << at;
+          EXPECT_EQ(cold_stats.carried + cold_stats.repaired, 0u) << at;
           const CacheBuildStats& stats = next->cache_build_stats();
           if (e > 0) {
+            EXPECT_EQ(stats.reselected, 0u) << at;
+            EXPECT_EQ(stats.carried + stats.repaired, NonEmptyRows(*next))
+                << at;
             totals.carried += stats.carried;
             totals.repaired += stats.repaired;
-            totals.reselected += stats.reselected;
           }
           carried[d] = std::move(next);
         }
@@ -227,14 +286,14 @@ TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
           retained = carried[2];
           retained_keys = retained->scores().keys();
           retained_values = retained->scores().values();
-          retained_cache = CacheRows(*retained);
+          retained_ranks = RankRows(*retained);
         }
       }
       // The retained version shares the key set but none of the later
-      // values or cache rows.
+      // values or rank orders.
       EXPECT_EQ(retained->scores().keys(), retained_keys) << where;
       EXPECT_EQ(retained->scores().values(), retained_values) << where;
-      EXPECT_EQ(CacheRows(*retained), retained_cache) << where;
+      EXPECT_EQ(RankRows(*retained), retained_ranks) << where;
       EXPECT_NE(retained->scores().values(), carried[2]->scores().values())
           << where;
 
@@ -245,10 +304,59 @@ TEST(SnapshotCarryTest, CarriedCacheEqualsColdBuildAcrossEditStreams) {
       EXPECT_EQ(inc->Snapshot().keys(), full->keys()) << where;
     }
   }
-  // Each path of the carried build ran somewhere in the sweep.
+  // Both carried paths ran somewhere in the sweep: unchanged rows copied,
+  // changed rows merged.
   EXPECT_GT(totals.carried, 0u);
   EXPECT_GT(totals.repaired, 0u);
-  EXPECT_GT(totals.reselected, 0u);
+}
+
+// A cold rank on a pool gives the serial order, and carrying it forward
+// gives a cold build's order. The table is large enough for the pool path
+// (all pairs of 160 x 128) and its scores come from a few levels, so rows
+// hold long runs of ties.
+TEST(SnapshotCarryTest, PoolRanksEqualSerialRanks) {
+  constexpr uint32_t kRows = 160;
+  constexpr uint32_t kCols = 128;
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
+  FlatPairMap index(kRows * kCols);
+  Rng rng(0x9A11);
+  for (uint32_t u = 0; u < kRows; ++u) {
+    for (uint32_t v = 0; v < kCols; ++v) {
+      index.Insert(PairKey(u, v), static_cast<uint32_t>(keys.size()));
+      keys.push_back(PairKey(u, v));
+      values.push_back(static_cast<double>(rng.NextBounded(8)) / 8.0);
+    }
+  }
+  const SharedFSimScores first = FreezeScores(FSimScores(
+      std::move(keys), values, std::move(index), FSimStats{}));
+  // Every third row gets a few changed scores; the rest stay unchanged.
+  for (uint32_t u = 0; u < kRows; u += 3) {
+    for (int c = 0; c < 5; ++c) {
+      values[u * kCols + rng.NextBounded(kCols)] =
+          static_cast<double>(rng.NextBounded(8)) / 8.0 + 0.0625;
+    }
+  }
+  const SharedFSimScores second =
+      FreezeScores(FSimScores(first->key_set(), values, FSimStats{}));
+
+  ThreadPool pool(4);
+  const FSimSnapshot cold(first, 16, SnapshotMeta{});
+  const FSimSnapshot cold_pool(first, 16, SnapshotMeta{}, nullptr, &pool);
+  EXPECT_EQ(RankRows(cold_pool), RankRows(cold));
+  EXPECT_EQ(cold_pool.cache_build_stats().reselected, kRows);
+  const FSimSnapshot carried(second, 16, SnapshotMeta{}, &cold);
+  const FSimSnapshot carried_pool(second, 16, SnapshotMeta{}, &cold_pool,
+                                  &pool);
+  EXPECT_EQ(RankRows(carried_pool), RankRows(carried));
+  EXPECT_EQ(RankRows(carried_pool),
+            RankRows(FSimSnapshot(second, 16, SnapshotMeta{})));
+  EXPECT_EQ(carried_pool.cache_build_stats().carried +
+                carried_pool.cache_build_stats().repaired,
+            kRows);
+  EXPECT_GT(carried_pool.cache_build_stats().repaired, 0u);
+  EXPECT_TRUE(carried_pool.ValidateCache().ok());
+  EXPECT_EQ(FirstRankedAnswerMismatch(carried_pool), "");
 }
 
 TEST(SnapshotStoreTest, PublishAcquireVersions) {
@@ -276,12 +384,12 @@ TEST(SnapshotStoreTest, PublishAcquireVersions) {
 
 // Side of the all-pairs score tables ConstantSnapshot builds.
 constexpr uint32_t kSide = 12;
-// Top-k cache depth of those snapshots.
+// cache_k of those snapshots, and the TopK depth the readers check.
 constexpr size_t kConstantCacheK = 4;
 
 /// A kSide x kSide all-pairs snapshot whose every score is `value`: any
-/// mix of values, or a cache disagreeing with the table, exposes a torn or
-/// mismatched read.
+/// mix of values, or a ranked row disagreeing with the table, exposes a
+/// torn or mismatched read.
 SnapshotPtr ConstantSnapshot(uint64_t version, double value) {
   std::vector<uint64_t> keys;
   std::vector<double> values;
@@ -331,7 +439,7 @@ TEST(SnapshotStoreTest, ReadersNeverObserveTornSnapshots) {
           ok = ok && value == want;
         }
         for (uint32_t u = 0; u < kSide; ++u) {
-          const auto cached = snap->CachedTopK(u);
+          const auto cached = snap->TopK(u, kConstantCacheK);
           ok = ok && cached.size() == kConstantCacheK;
           for (const auto& [v, score] : cached) {
             ok = ok && score == want && score == snap->PairScore(u, v);
@@ -647,7 +755,7 @@ TEST(ServeLoopTest, GoldenTranscript) {
       "4 0.656703\n"
       "1 0.600000\n"
       "2 0.533907\n"
-      "THRESH 4 v1 degraded\n"
+      "THRESH 4 v1\n"
       "0 1.000000\n"
       "4 0.656703\n"
       "1 0.600000\n"
@@ -880,9 +988,9 @@ TEST(RefreshDriverTest, BoundedQueueShedsAndCoalesces) {
   ASSERT_TRUE(driver.Submit({1, 2, 4, /*insert=*/true}).ok());
 }
 
-// Deadline budgets answer from the cache instead of blowing the deadline:
-// an already-expired deadline degrades TOPK to the cache prefix and leaves
-// PAIR (O(1)) exact.
+// Deadline budgets cut answers short instead of blowing the deadline: an
+// already-expired deadline cuts TOPK to its first cache_k entries and
+// leaves PAIR (O(1)) exact.
 TEST(QueryEngineTest, ExpiredDeadlineDegradesToCachePrefix) {
   const Graph g = MakeServeGraph();
   auto scores = ComputeFSimSelf(g, ServeConfig());
@@ -900,12 +1008,12 @@ TEST(QueryEngineTest, ExpiredDeadlineDegradesToCachePrefix) {
   topk.k = 4;
   const QueryResult degraded = QueryEngine::Answer(snapshot, topk, expired);
   EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.entries.size(), 2u);  // the cache prefix, not k
+  EXPECT_EQ(degraded.entries.size(), 2u);  // cache_k entries, not k
   const auto want = ReferenceTopK(reference, 0, 2);
   for (size_t i = 0; i < degraded.entries.size(); ++i) {
     EXPECT_EQ(degraded.entries[i], want[i]);
   }
-  // Within cache depth the prefix IS the exact answer: not degraded.
+  // Within cache_k the prefix IS the exact answer: not degraded.
   topk.k = 2;
   EXPECT_FALSE(QueryEngine::Answer(snapshot, topk, expired).degraded);
   // PAIR never degrades.
@@ -916,6 +1024,343 @@ TEST(QueryEngineTest, ExpiredDeadlineDegradesToCachePrefix) {
   const QueryResult exact = QueryEngine::Answer(snapshot, pair, expired);
   EXPECT_FALSE(exact.degraded);
   EXPECT_EQ(exact.score, reference.Score(0, 1));
+}
+
+/// A one-row snapshot: row 0 scores 0.9, 0.7, 0.5, 0.3 (v = 0..3).
+FSimSnapshot OneRowSnapshot(size_t cache_k) {
+  std::vector<uint64_t> keys;
+  FlatPairMap index(4);
+  for (NodeId v = 0; v < 4; ++v) {
+    index.Insert(PairKey(0, v), static_cast<uint32_t>(keys.size()));
+    keys.push_back(PairKey(0, v));
+  }
+  return FSimSnapshot(
+      FreezeScores(FSimScores(std::move(keys), {0.9, 0.7, 0.5, 0.3},
+                              std::move(index), FSimStats{})),
+      cache_k, SnapshotMeta{});
+}
+
+// Over budget, TOPK returns at most cache_k entries and is degraded only
+// when min(k, |row|) exceeds cache_k: a row exactly cache_k long is whole.
+TEST(QueryEngineTest, OverBudgetTopKDegradedOnlyWhenEntryLeftOut) {
+  const auto expired = QueryEngine::Clock::now();
+  Query topk;
+  topk.kind = Query::Kind::kTopK;
+  topk.k = 20;
+  const QueryResult whole = QueryEngine::Answer(OneRowSnapshot(4), topk,
+                                                expired);
+  EXPECT_EQ(whole.entries.size(), 4u);
+  EXPECT_FALSE(whole.degraded);
+
+  const FSimSnapshot shallow = OneRowSnapshot(2);
+  const QueryResult cut = QueryEngine::Answer(shallow, topk, expired);
+  EXPECT_EQ(cut.entries, shallow.TopK(0, 2));
+  EXPECT_TRUE(cut.degraded);
+  topk.k = 2;
+  EXPECT_FALSE(QueryEngine::Answer(shallow, topk, expired).degraded);
+}
+
+// Over budget, THRESH returns at most cache_k entries and is degraded only
+// when the entry ranked at cache_k also scores >= tau.
+TEST(QueryEngineTest, OverBudgetThresholdDegradedOnlyWhenEntryLeftOut) {
+  const auto expired = QueryEngine::Clock::now();
+  const FSimSnapshot shallow = OneRowSnapshot(2);
+  Query thresh;
+  thresh.kind = Query::Kind::kThreshold;
+  thresh.tau = 0.6;  // two hits: the whole answer fits
+  QueryResult result = QueryEngine::Answer(shallow, thresh, expired);
+  EXPECT_EQ(result.entries, shallow.TopK(0, 2));
+  EXPECT_FALSE(result.degraded);
+  thresh.tau = 0.5;  // three hits: the third is left out
+  result = QueryEngine::Answer(shallow, thresh, expired);
+  EXPECT_EQ(result.entries, shallow.TopK(0, 2));
+  EXPECT_TRUE(result.degraded);
+  thresh.tau = 0.95;  // no hits
+  result = QueryEngine::Answer(shallow, thresh, expired);
+  EXPECT_TRUE(result.entries.empty());
+  EXPECT_FALSE(result.degraded);
+  // A row exactly cache_k long answers whole at any tau.
+  thresh.tau = 0.0;
+  result = QueryEngine::Answer(OneRowSnapshot(4), thresh, expired);
+  EXPECT_EQ(result.entries.size(), 4u);
+  EXPECT_FALSE(result.degraded);
+}
+
+// A budget that is not positive, not a number, or too large for the clock
+// sets no deadline instead of overflowing the conversion.
+TEST(QueryEngineTest, DeadlineForHandlesEveryBudget) {
+  const auto none = QueryEngine::Clock::time_point::max();
+  for (double budget : {0.0, -0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL,
+                        1e300, 1e13, std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(QueryEngine::DeadlineFor(budget), none) << budget;
+  }
+  const auto before = QueryEngine::Clock::now();
+  const auto deadline = QueryEngine::DeadlineFor(1000.0);
+  EXPECT_GE(deadline, before + std::chrono::seconds(1));
+  EXPECT_LE(deadline, QueryEngine::Clock::now() + std::chrono::seconds(1));
+}
+
+/// ServeLoop's reply to `requests` on a fresh synchronous service over the
+/// serve graph with cache_k 4 (row 0 holds 5 entries).
+std::string ServeOnce(const std::string& requests) {
+  ServeOptions options;
+  options.background_refresh = false;
+  options.policy.topk_cache_k = 4;
+  const Graph g = MakeServeGraph();
+  auto service = FSimService::Create(g, g, ServeConfig(), options);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  if (!service.ok()) return "";
+  std::istringstream in(requests);
+  std::ostringstream out;
+  EXPECT_TRUE((*service)->ServeLoop(in, out).ok());
+  return out.str();
+}
+
+// nan and inf are no budget and no threshold: each is a usage error, not a
+// degraded answer or a whole row.
+TEST(ServeLoopTest, NonFiniteBudgetAndTauAreUsageErrors) {
+  const std::string kTopK = "ERR usage: TOPK <u> <k> [budget_ms]\n";
+  const std::string kThresh = "ERR usage: THRESH <u> <tau> [budget_ms]\n";
+  const std::string kBatch = "ERR usage: BATCH <n> [budget_ms] (n <= 100000)\n";
+  EXPECT_EQ(ServeOnce("TOPK 0 20 inf\nTOPK 0 20 nan\nTOPK 0 20 -inf\n"),
+            kTopK + kTopK + kTopK);
+  EXPECT_EQ(ServeOnce("THRESH 0 nan\nTHRESH 0 inf\nTHRESH 0 -inf\n"
+                      "THRESH 0 0.5 nan\nTHRESH 0 0.5 inf\n"),
+            kThresh + kThresh + kThresh + kThresh + kThresh);
+  EXPECT_EQ(ServeOnce("BATCH 1 nan\nBATCH 1 inf\n"), kBatch + kBatch);
+}
+
+// A finite budget too large for the clock is no deadline: the full answer,
+// not a degraded one.
+TEST(ServeLoopTest, HugeBudgetIsNoDeadline) {
+  const std::string reply = ServeOnce(
+      "TOPK 0 20 1e300\nTOPK 0 20 1e13\nBATCH 1 1e308\nTOPK 0 20\n");
+  EXPECT_EQ(reply.find("degraded"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find("ERR"), std::string::npos) << reply;
+  size_t answers = 0;
+  for (size_t at = reply.find("TOPK 5 v1\n"); at != std::string::npos;
+       at = reply.find("TOPK 5 v1\n", at + 1)) {
+    ++answers;
+  }
+  EXPECT_EQ(answers, 3u) << reply;
+}
+
+/// Whether `token` is a whole finite decimal number.
+bool IsNumber(std::string_view token) {
+  const std::string s(token);
+  char* end = nullptr;
+  const double value = std::strtod(s.c_str(), &end);
+  return !s.empty() && end == s.c_str() + s.size() && std::isfinite(value);
+}
+
+/// Parses `token` as a decimal count of at most nine digits.
+bool ParseCount(std::string_view token, size_t* n) {
+  if (token.empty() || token.size() > 9 ||
+      token.find_first_not_of("0123456789") != std::string_view::npos) {
+    return false;
+  }
+  *n = std::stoul(std::string(token));
+  return true;
+}
+
+/// Whether `token` is 'v' followed by decimal digits (a snapshot version).
+bool IsVersion(std::string_view token) {
+  return token.size() > 1 && token[0] == 'v' &&
+         token.find_first_not_of("0123456789", 1) == std::string_view::npos;
+}
+
+/// Reads one reply to a query (SCORE, TOPK, THRESH or ERR) starting at
+/// out[*at]; advances *at past it. False when it is not well formed.
+bool ReadQueryReply(const std::vector<std::string>& out, size_t* at) {
+  if (*at >= out.size()) return false;
+  const std::string& line = out[(*at)++];
+  if (line.rfind("ERR ", 0) == 0) return true;
+  const auto tokens = SplitWhitespace(line);
+  if (tokens.size() == 3 && tokens[0] == "SCORE") {
+    return IsNumber(tokens[1]) && IsVersion(tokens[2]);
+  }
+  if ((tokens.size() != 3 && tokens.size() != 4) ||
+      (tokens[0] != "TOPK" && tokens[0] != "THRESH") || !IsVersion(tokens[2]) ||
+      (tokens.size() == 4 && tokens[3] != "degraded")) {
+    return false;
+  }
+  size_t n = 0;
+  if (!ParseCount(tokens[1], &n)) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (*at >= out.size()) return false;
+    const auto entry = SplitWhitespace(out[(*at)++]);
+    if (entry.size() != 2 || !IsNumber(entry[0]) || !IsNumber(entry[1])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reads one top-level reply starting at out[*at] and advances *at past
+/// it. Sets *request_lines to the request lines it answers: 1, or 1 + n
+/// for a BATCH of n. False when the reply is not well formed.
+bool ReadReply(const std::vector<std::string>& out, size_t* at,
+               size_t* request_lines) {
+  *request_lines = 1;
+  if (*at >= out.size()) return false;
+  const std::string& line = out[*at];
+  const auto tokens = SplitWhitespace(line);
+  if (line == "OK queued" || line == "OK logged" || line == "BYE") {
+    ++*at;
+    return true;
+  }
+  if (tokens.size() == 3 && tokens[0] == "OK" && tokens[1] == "version") {
+    size_t version = 0;
+    ++*at;
+    return ParseCount(tokens[2], &version);
+  }
+  if (line.rfind("STATS version=", 0) == 0) {
+    // STATS FULL appends HIST lines up to END.
+    ++*at;
+    if (*at < out.size() &&
+        (out[*at].rfind("HIST ", 0) == 0 || out[*at] == "END")) {
+      while (*at < out.size() && out[*at] != "END") {
+        if (out[(*at)++].rfind("HIST ", 0) != 0) return false;
+      }
+      if (*at == out.size()) return false;
+      ++*at;
+    }
+    return true;
+  }
+  size_t n = 0;
+  if (tokens.size() == 2 && tokens[0] == "METRICS") {
+    if (!ParseCount(tokens[1], &n) || *at + 1 + n > out.size()) return false;
+    *at += 1 + n;
+    return true;
+  }
+  if (tokens.size() == 3 && tokens[0] == "BATCH") {
+    if (!ParseCount(tokens[1], &n) || !IsVersion(tokens[2])) return false;
+    ++*at;
+    for (size_t i = 0; i < n; ++i) {
+      if (!ReadQueryReply(out, at)) return false;
+    }
+    *request_lines = 1 + n;
+    return true;
+  }
+  return ReadQueryReply(out, at);
+}
+
+/// Seeded mutations of one request line: a byte flip (never to a newline),
+/// a truncation, a swap of two tokens, or one token replaced by an edge
+/// token.
+std::string MutateLine(const std::string& line, Rng* rng) {
+  static const char* const kEdgeTokens[] = {
+      "nan", "inf", "-inf", "-0", "1e308", "4294967296", "", "-1",
+      "0x10", "1e-320", "99999999999999999999", "+3", " "};
+  std::string out = line;
+  switch (rng->NextBounded(4)) {
+    case 0: {
+      if (out.empty()) return out;
+      char byte = '\n';
+      while (byte == '\n') {
+        byte = static_cast<char>(1 + rng->NextBounded(255));
+      }
+      out[rng->NextBounded(out.size())] = byte;
+      return out;
+    }
+    case 1:
+      out.resize(rng->NextBounded(out.size() + 1));
+      return out;
+    default:
+      break;
+  }
+  std::vector<std::string> tokens;
+  for (std::string_view token : SplitWhitespace(line)) {
+    tokens.emplace_back(token);
+  }
+  if (tokens.empty()) return out;
+  const size_t i = rng->NextBounded(tokens.size());
+  const size_t j = rng->NextBounded(tokens.size());
+  if (rng->NextBounded(2) == 0) {
+    std::swap(tokens[i], tokens[j]);
+  } else {
+    tokens[i] = kEdgeTokens[rng->NextBounded(std::size(kEdgeTokens))];
+  }
+  out.clear();
+  for (size_t t = 0; t < tokens.size(); ++t) {
+    out += (t == 0 ? "" : " ") + tokens[t];
+  }
+  return out;
+}
+
+// Request-line mutation fuzz: seeded byte flips, truncations, token swaps
+// and edge tokens applied to one line of valid PAIR/TOPK/THRESH/BATCH/EDIT/
+// FLUSH/STATS requests. Every request line must get exactly one well-formed
+// reply or ERR (a BATCH header's reply answers its n entry lines; blank and
+// comment lines get none), and the service must keep answering.
+TEST(ServeLoopTest, MutatedRequestLinesGetOneReplyEach) {
+  const std::vector<std::vector<std::string>> kRequests = {
+      {"PAIR 0 1"},
+      {"TOPK 0 3"},
+      {"TOPK 0 20 0.5"},
+      {"THRESH 0 0.45"},
+      {"THRESH 0 0.45 2"},
+      {"BATCH 2", "PAIR 1 1", "TOPK 4 2"},
+      {"BATCH 2 5", "THRESH 0 0.5", "TOPK 1 9 0.25"},
+      {"EDIT INSERT 1 0 3", "FLUSH"},
+      {"EDIT REMOVE 2 3 4", "FLUSH"},
+      {"STATS"},
+  };
+  ServeOptions options;
+  options.background_refresh = false;
+  options.policy.topk_cache_k = 4;
+  const Graph g = MakeServeGraph();
+  auto service = FSimService::Create(g, g, ServeConfig(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  Rng rng(0xF022);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::string> lines =
+        kRequests[rng.NextBounded(kRequests.size())];
+    const size_t target = rng.NextBounded(lines.size());
+    lines[target] = MutateLine(lines[target], &rng);
+    std::string requests;
+    for (const std::string& line : lines) requests += line + "\n";
+    const std::string where = "trial " + std::to_string(trial) + ": " +
+                              ::testing::PrintToString(requests);
+
+    std::istringstream in(requests + "PAIR 0 1\n");
+    std::ostringstream out_stream;
+    ASSERT_TRUE((*service)->ServeLoop(in, out_stream).ok()) << where;
+    std::vector<std::string> out;
+    std::istringstream reply(out_stream.str());
+    for (std::string line; std::getline(reply, line);) out.push_back(line);
+
+    // Walk the request lines as ServeLoop frames them, one reply each.
+    size_t at = 0;
+    size_t next = 0;
+    bool quit = false;
+    bool probe_in_batch = false;
+    const auto skipped = [](const std::string& line) {
+      const std::string_view trimmed = Trim(line);
+      return line.find('\0') == std::string::npos &&
+             (trimmed.empty() || trimmed[0] == '#');
+    };
+    while (!quit) {
+      while (next < lines.size() && skipped(lines[next])) ++next;
+      if (next == lines.size()) break;
+      size_t request_lines = 0;
+      quit = at < out.size() && out[at] == "BYE";
+      ASSERT_TRUE(ReadReply(out, &at, &request_lines))
+          << where << " reply line " << at;
+      if (next + request_lines > lines.size()) {
+        // A BATCH whose entries ran into the probe line (and perhaps the
+        // end of the stream) answered it inside the batch.
+        probe_in_batch = true;
+        ASSERT_EQ(at, out.size()) << where;
+        break;
+      }
+      next += request_lines;
+    }
+    if (quit || probe_in_batch) continue;
+    // The probe after the mutated requests is still answered.
+    ASSERT_EQ(at + 1, out.size()) << where;
+    ASSERT_EQ(out[at].rfind("SCORE ", 0), 0u) << where << " " << out[at];
+  }
 }
 
 // Flush must return DeadlineExceeded instead of blocking forever behind a

@@ -81,7 +81,7 @@ void RunAllValidators() {
   SharedFSimScores scores = FreezeScores(
       FSimScores({PairKey(0, 0)}, {1.0}, std::move(score_index), FSimStats{}));
   for (double value : {1.0, 0.5}) {
-    // The second round carries the first one's cache forward over the
+    // The second round carries the first one's rank order forward over the
     // same key set with a changed value.
     SnapshotMeta meta;
     meta.version = snapshots.NextVersion();
