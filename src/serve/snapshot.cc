@@ -52,7 +52,11 @@ bool SameBits(double a, double b) {
 }
 
 /// Below this many pairs a pool region costs more than a cold rank inline.
-constexpr size_t kParallelRankMinPairs = 16384;
+/// On row prefixes of the yeast and gp tables, a 4-thread pool lost at 932
+/// pairs (0.07-0.09 ms against 0.04 ms), came within 10% at 2,387, and won
+/// at every size from 3,777 pairs up, whether its workers were asleep or
+/// just busy (see docs/performance.md "Ranked rows").
+constexpr size_t kParallelRankMinPairs = 4096;
 
 }  // namespace
 

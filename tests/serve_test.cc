@@ -156,15 +156,16 @@ std::vector<std::vector<uint32_t>> RankRows(const FSimSnapshot& snapshot) {
 
 /// The first TopK or ThresholdNeighbors answer of `snapshot` that differs
 /// from a naive full sort of FSimScores::Row(u), described; empty when all
-/// agree. Checks k in {1, cache_k, cache_k + 1, |row|, |row| + 1} and tau
-/// at, just above and just below every distinct score of the row.
+/// agree. Checks k at and one past the over-budget depths 1, 4, 16 and 64,
+/// k = |row| and |row| + 1, and tau at, just above and just below every
+/// distinct score of the row.
 std::string FirstRankedAnswerMismatch(const FSimSnapshot& snapshot) {
   const FSimScores& scores = snapshot.scores();
-  const size_t cache_k = snapshot.cache_k();
   for (size_t row = 0; row < scores.key_set()->NumRows(); ++row) {
     const NodeId u = static_cast<NodeId>(row);
     const auto full = ReferenceTopK(scores, u, SIZE_MAX);
-    for (size_t k : {size_t{1}, cache_k, cache_k + 1, full.size(),
+    for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{5}, size_t{16},
+                     size_t{17}, size_t{64}, size_t{65}, full.size(),
                      full.size() + 1}) {
       const std::vector<std::pair<NodeId, double>> want(
           full.begin(), full.begin() + std::min(k, full.size()));
@@ -202,12 +203,11 @@ size_t NonEmptyRows(const FSimSnapshot& snapshot) {
 // Publishing carries the previous snapshot's rank order forward: after
 // every edit of random insert/remove streams, the carried order must equal
 // a cold build's for every variant and θ, and both must answer TopK and
-// ThresholdNeighbors exactly as a full sort of the row does, for every
-// cache depth (64 is longer than every row here). A snapshot retained from
-// an early version must stay exactly as built, and Snapshot() must keep
-// handing out the engine's full key set and values.
+// ThresholdNeighbors exactly as a full sort of the row does (k = 64 is
+// longer than every row here). A snapshot retained from an early version
+// must stay exactly as built, and Snapshot() must keep handing out the
+// engine's full key set and values.
 TEST(SnapshotCarryTest, CarriedRanksEqualColdBuildAcrossEditStreams) {
-  constexpr size_t kDepths[] = {1, 4, 16, 64};
   CacheBuildStats totals;
   for (SimVariant variant :
        {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
@@ -223,7 +223,7 @@ TEST(SnapshotCarryTest, CarriedRanksEqualColdBuildAcrossEditStreams) {
       auto inc = IncrementalFSim::Create(pair.g1, pair.g2, config);
       ASSERT_TRUE(inc.ok()) << inc.status().ToString();
 
-      std::vector<SnapshotPtr> carried(std::size(kDepths));
+      SnapshotPtr carried;
       SnapshotPtr retained;
       std::vector<uint64_t> retained_keys;
       std::vector<double> retained_values;
@@ -254,36 +254,32 @@ TEST(SnapshotCarryTest, CarriedRanksEqualColdBuildAcrossEditStreams) {
                     inc->Score(PairFirst(key), PairSecond(key)))
               << where << " edit " << e;
         }
-        for (size_t d = 0; d < std::size(kDepths); ++d) {
-          const std::string at = where + " cache_k=" +
-                                 std::to_string(kDepths[d]) + " edit " +
-                                 std::to_string(e);
-          SnapshotMeta meta;
-          meta.version = static_cast<uint64_t>(e) + 1;
-          auto next = std::make_shared<const FSimSnapshot>(
-              scores, kDepths[d], meta, carried[d].get());
-          const FSimSnapshot cold(scores, kDepths[d], meta);
-          ASSERT_EQ(RankRows(*next), RankRows(cold)) << at;
-          ASSERT_EQ(FirstRankedAnswerMismatch(*next), "") << at;
-          ASSERT_EQ(FirstRankedAnswerMismatch(cold), "") << at;
-          const Status valid = next->ValidateCache();
-          ASSERT_TRUE(valid.ok()) << valid.ToString();
-          // A cold build sorts every row; a carried one copies or merges.
-          const CacheBuildStats& cold_stats = cold.cache_build_stats();
-          EXPECT_EQ(cold_stats.reselected, NonEmptyRows(cold)) << at;
-          EXPECT_EQ(cold_stats.carried + cold_stats.repaired, 0u) << at;
-          const CacheBuildStats& stats = next->cache_build_stats();
-          if (e > 0) {
-            EXPECT_EQ(stats.reselected, 0u) << at;
-            EXPECT_EQ(stats.carried + stats.repaired, NonEmptyRows(*next))
-                << at;
-            totals.carried += stats.carried;
-            totals.repaired += stats.repaired;
-          }
-          carried[d] = std::move(next);
+        const std::string at = where + " edit " + std::to_string(e);
+        SnapshotMeta meta;
+        meta.version = static_cast<uint64_t>(e) + 1;
+        auto next = std::make_shared<const FSimSnapshot>(scores, 16, meta,
+                                                         carried.get());
+        const FSimSnapshot cold(scores, 16, meta);
+        ASSERT_EQ(RankRows(*next), RankRows(cold)) << at;
+        ASSERT_EQ(FirstRankedAnswerMismatch(*next), "") << at;
+        ASSERT_EQ(FirstRankedAnswerMismatch(cold), "") << at;
+        const Status valid = next->ValidateCache();
+        ASSERT_TRUE(valid.ok()) << valid.ToString();
+        // A cold build sorts every row; a carried one copies or merges.
+        const CacheBuildStats& cold_stats = cold.cache_build_stats();
+        EXPECT_EQ(cold_stats.reselected, NonEmptyRows(cold)) << at;
+        EXPECT_EQ(cold_stats.carried + cold_stats.repaired, 0u) << at;
+        const CacheBuildStats& stats = next->cache_build_stats();
+        if (e > 0) {
+          EXPECT_EQ(stats.reselected, 0u) << at;
+          EXPECT_EQ(stats.carried + stats.repaired, NonEmptyRows(*next))
+              << at;
+          totals.carried += stats.carried;
+          totals.repaired += stats.repaired;
         }
+        carried = std::move(next);
         if (e == 0) {
-          retained = carried[2];
+          retained = carried;
           retained_keys = retained->scores().keys();
           retained_values = retained->scores().values();
           retained_ranks = RankRows(*retained);
@@ -294,7 +290,7 @@ TEST(SnapshotCarryTest, CarriedRanksEqualColdBuildAcrossEditStreams) {
       EXPECT_EQ(retained->scores().keys(), retained_keys) << where;
       EXPECT_EQ(retained->scores().values(), retained_values) << where;
       EXPECT_EQ(RankRows(*retained), retained_ranks) << where;
-      EXPECT_NE(retained->scores().values(), carried[2]->scores().values())
+      EXPECT_NE(retained->scores().values(), carried->scores().values())
           << where;
 
       // The shared key set is the candidate set a batch solve enumerates.
