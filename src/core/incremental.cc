@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/fsim_engine.h"
+#include "core/init_value.h"
 #include "core/operators.h"
 #include "core/pair_store.h"
 #include "obs/trace.h"
@@ -59,69 +60,36 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
     options.propagation_tolerance = config.epsilon * w / (10.0 * (1.0 + w));
   }
 
+  FSIM_TRACE_SPAN("incremental.create");
   IncrementalFSim inc(g1, g2, std::move(config), options);
+  // Every set-up stage runs on the engine pool (inline at one thread).
+  ThreadPool inline_pool(1);
+  ThreadPool& pool = inc.pool_ ? *inc.pool_ : inline_pool;
 
-  // Enumerate + initialize the candidate pairs; the engine maintains its own
-  // edit-capable neighbor index, so PairStore's snapshot-time one is skipped.
-  FSIM_ASSIGN_OR_RETURN(
-      PairStore store,
-      PairStore::Build(g1, g2, inc.config_, inc.lsim_,
-                       /*build_neighbor_index=*/false));
-  // Freeze the initialized candidate set into the shared key set (row
-  // ranges over every node of graph 1) and move the FSim^0 initialization
-  // into the mutable score table.
-  inc.key_set_ = PairKeySet::Make(store.TakeKeys(), store.TakeIndex(),
-                                  inc.g1_.NumNodes());
-  inc.values_ = store.TakeScores();
+  {
+    // Enumerate + initialize the candidate pairs; the engine maintains its
+    // own edit-capable neighbor index, so PairStore's is skipped.
+    FSIM_TRACE_SPAN("incremental.create.keys");
+    FSIM_ASSIGN_OR_RETURN(
+        PairStore store,
+        PairStore::Build(g1, g2, inc.config_, inc.lsim_,
+                         /*build_neighbor_index=*/false, &pool));
+    // Freeze the initialized candidate set into the shared key set (row
+    // ranges over every node of graph 1) and move the FSim^0
+    // initialization into the mutable score table.
+    inc.key_set_ = PairKeySet::Make(store.TakeKeys(), store.TakeIndex(),
+                                    inc.g1_.NumNodes());
+    inc.values_ = store.TakeScores();
+  }
   const std::vector<uint64_t>& keys = inc.key_set_->keys;
-
-  // The v-grouped CSR (rows come with the key set).
-  const size_t n2 = inc.g2_.NumNodes();
-  std::vector<uint32_t> col_counts(n2, 0);
-  for (uint64_t key : keys) ++col_counts[PairSecond(key)];
-  inc.col_offsets_.assign(n2 + 1, 0);
-  for (size_t v = 0; v < n2; ++v) {
-    inc.col_offsets_[v + 1] = inc.col_offsets_[v] + col_counts[v];
+  {
+    FSIM_TRACE_SPAN("incremental.create.tables");
+    inc.BuildPairTables(pool);
   }
-  inc.col_pairs_.resize(keys.size());
-  std::vector<uint32_t> cursor(inc.col_offsets_.begin(),
-                               inc.col_offsets_.end() - 1);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    inc.col_pairs_[cursor[PairSecond(keys[i])]++] = static_cast<uint32_t>(i);
+  {
+    FSIM_TRACE_SPAN("incremental.create.index");
+    inc.nbr_index_.Build(inc.IndexEnv(), keys, inc.config_, &pool);
   }
-
-  inc.in_queue_.assign(keys.size(), 0);
-  inc.dirty_dir_.assign(keys.size(), 0);
-  inc.pending_out_.assign(keys.size(), 0.0);
-  inc.pending_in_.assign(keys.size(), 0.0);
-  inc.out_cache_.assign(keys.size(), 0.0);
-  inc.in_cache_.assign(keys.size(), 0.0);
-  inc.influence_factor_out_.resize(keys.size());
-  inc.influence_factor_in_.resize(keys.size());
-  inc.const_term_.resize(keys.size());
-  const double label_weight = 1.0 - inc.config_.w_out - inc.config_.w_in;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const NodeId u = PairFirst(keys[i]);
-    const NodeId v = PairSecond(keys[i]);
-    inc.influence_factor_out_[i] =
-        InfluenceFactor(inc.op_, inc.g1_.OutDegree(u), inc.g2_.OutDegree(v));
-    inc.influence_factor_in_[i] =
-        InfluenceFactor(inc.op_, inc.g1_.InDegree(u), inc.g2_.InDegree(v));
-    double label_term = 0.0;
-    switch (inc.config_.label_term) {
-      case LabelTermKind::kLabelSim:
-        label_term = inc.lsim_.Sim(inc.g1_.Label(u), inc.g2_.Label(v));
-        break;
-      case LabelTermKind::kZero:
-        label_term = 0.0;
-        break;
-      case LabelTermKind::kOne:
-        label_term = 1.0;
-        break;
-    }
-    inc.const_term_[i] = label_weight * label_term;
-  }
-  inc.nbr_index_.Build(inc.IndexEnv(), keys, inc.config_);
   // Warm start: overwrite the FSim^0 initialization with the seed's values
   // when the keysets agree exactly. Any mismatch (different graphs, config,
   // or a truncated snapshot) keeps the cold initialization — correctness
@@ -129,8 +97,74 @@ Result<IncrementalFSim> IncrementalFSim::Create(Graph g1, Graph g2,
   if (warm_seed != nullptr && warm_seed->keys() == keys) {
     inc.values_ = warm_seed->values();
   }
-  inc.SolveFull();
+  {
+    FSIM_TRACE_SPAN("incremental.create.solve");
+    inc.SolveFull();
+  }
   return inc;
+}
+
+void IncrementalFSim::BuildPairTables(ThreadPool& pool) {
+  const std::vector<uint64_t>& keys = key_set_->keys;
+  const size_t n = keys.size();
+  const size_t n2 = g2_.NumNodes();
+
+  // The v-grouped CSR (rows come with the key set), as a counting sort over
+  // contiguous key blocks: each block counts its columns, the per-block
+  // counts become per-block write cursors, and each block scatters its
+  // pairs in key order — the same ascending lists a serial scatter writes.
+  // Blocks are capped so their count arrays stay within col_pairs_'s size.
+  const size_t blocks = std::clamp<size_t>(
+      n / std::max<size_t>(n2, 1), 1,
+      static_cast<size_t>(pool.num_threads()));
+  const size_t block_len = std::max<size_t>((n + blocks - 1) / blocks, 1);
+  std::vector<uint32_t> cursors(blocks * n2, 0);
+  pool.ParallelForChunked(n, block_len, [&](int, size_t begin, size_t end) {
+    uint32_t* counts = cursors.data() + begin / block_len * n2;
+    for (size_t i = begin; i < end; ++i) ++counts[PairSecond(keys[i])];
+  });
+  col_offsets_.assign(n2 + 1, 0);
+  for (size_t v = 0; v < n2; ++v) {
+    uint32_t cursor = col_offsets_[v];
+    for (size_t b = 0; b < blocks; ++b) {
+      const uint32_t count = cursors[b * n2 + v];
+      cursors[b * n2 + v] = cursor;
+      cursor += count;
+    }
+    col_offsets_[v + 1] = cursor;
+  }
+  col_pairs_.resize(n);
+  pool.ParallelForChunked(n, block_len, [&](int, size_t begin, size_t end) {
+    uint32_t* cursor = cursors.data() + begin / block_len * n2;
+    for (size_t i = begin; i < end; ++i) {
+      col_pairs_[cursor[PairSecond(keys[i])]++] = static_cast<uint32_t>(i);
+    }
+  });
+
+  in_queue_.assign(n, 0);
+  dirty_dir_.assign(n, 0);
+  pending_out_.assign(n, 0.0);
+  pending_in_.assign(n, 0.0);
+  out_cache_.assign(n, 0.0);
+  in_cache_.assign(n, 0.0);
+  influence_factor_out_.resize(n);
+  influence_factor_in_.resize(n);
+  const_term_.resize(n);
+  const double label_weight = 1.0 - config_.w_out - config_.w_in;
+  constexpr size_t kPairGrain = 1024;
+  pool.ParallelForChunked(n, kPairGrain, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const NodeId u = PairFirst(keys[i]);
+      const NodeId v = PairSecond(keys[i]);
+      influence_factor_out_[i] =
+          InfluenceFactor(op_, g1_.OutDegree(u), g2_.OutDegree(v));
+      influence_factor_in_[i] =
+          InfluenceFactor(op_, g1_.InDegree(u), g2_.InDegree(v));
+      const_term_[i] = label_weight * LabelTermValue(config_, lsim_,
+                                                     g1_.Label(u),
+                                                     g2_.Label(v));
+    }
+  });
 }
 
 double IncrementalFSim::ComputeDirection(size_t i, int dir,

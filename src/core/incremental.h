@@ -192,6 +192,11 @@ class IncrementalFSim {
   IncrementalFSim(const Graph& g1, const Graph& g2, FSimConfig config,
                   IncrementalOptions options);
 
+  /// Fills the per-pair tables of the key set on `pool`: the v-grouped
+  /// CSR, the worklist and cache arrays, the influence factors and the
+  /// constant label term.
+  void BuildPairTables(ThreadPool& pool);
+
   NeighborIndexEnv IndexEnv() const {
     return NeighborIndexEnv{g1_, g2_, key_set_->index, lsim_};
   }

@@ -2,39 +2,32 @@
 
 #include <algorithm>
 
+#include "core/neighbor_fill.h"
+
 namespace fsim {
 
-void IncrementalNeighborIndex::ClassifyInto(
-    std::span<const NodeId> s1, std::span<const NodeId> s2,
-    const NeighborIndexEnv& env, std::vector<NeighborRef>* out) const {
-  for (uint32_t r = 0; r < s1.size(); ++r) {
-    for (uint32_t c = 0; c < s2.size(); ++c) {
-      const NodeId x = s1[r];
-      const NodeId y = s2[c];
-      if (need_compat_ &&
-          !env.lsim.Compatible(env.g1.Label(x), env.g2.Label(y), theta_)) {
-        continue;
-      }
-      const uint32_t idx = env.pair_index.Find(PairKey(x, y));
-      // Absent pairs would look up 0.0, which never contributes to any
-      // operator; omit them (the incremental engine maintains the full
-      // θ-candidate set, so there is no pruned side table to tag into).
-      if (idx == FlatPairMap::kNotFound) continue;
-      out->push_back(NeighborRef{r, c, idx});
-    }
-  }
+namespace {
+
+/// The span classifier Build and Restage share with the batch index. The
+/// incremental engine maintains the full θ-candidate set, so there is no
+/// pruned side table to tag into.
+RefClassifier<DynamicGraph, DynamicGraph> Classifier(
+    const NeighborIndexEnv& env, double theta) {
+  return {env.g1, env.g2, env.lsim, theta, env.pair_index, nullptr};
 }
+
+}  // namespace
 
 bool IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
                                      std::span<const uint64_t> keys,
-                                     const FSimConfig& config) {
+                                     const FSimConfig& config,
+                                     ThreadPool* pool) {
   enabled_ = false;
   const size_t n = keys.size();
   if (config.neighbor_index_budget_bytes == 0) return false;
   // Stay inside the untagged ref range shared with the batch index.
   if (n >= kNeighborRefPrunedTag) return false;
 
-  need_compat_ = config.theta > 0.0;
   theta_ = config.theta;
   pin_diagonal_ = config.pin_diagonal;
   budget_bytes_ = config.neighbor_index_budget_bytes;
@@ -57,35 +50,48 @@ bool IncrementalNeighborIndex::Build(const NeighborIndexEnv& env,
     return false;
   }
 
-  spans_.assign(2 * n, SpanMeta{});
-  arena_.clear();
-  freed_ = 0;
-  restaged_spans_ = 0;
-  for (size_t i = 0; i < n; ++i) {
+  ThreadPool inline_pool(1);
+  if (pool == nullptr) pool = &inline_pool;
+  const auto classifier = Classifier(env, theta_);
+  auto is_pinned = [&](size_t i) {
+    // Pinned pairs are never evaluated and never change, so neither
+    // direction span is needed (their dependents receive no pushes).
+    return pin_diagonal_ && PairFirst(keys[i]) == PairSecond(keys[i]);
+  };
+  auto stage = [&](size_t i, int dir, auto&& emit) {
+    if (is_pinned(i)) return;
     const NodeId u = PairFirst(keys[i]);
     const NodeId v = PairSecond(keys[i]);
-    if (pin_diagonal_ && u == v) {
-      // Pinned pairs are never evaluated and never change, so neither
-      // direction span is needed (their dependents receive no pushes).
-      continue;
+    if (dir == kOut) {
+      classifier.ClassifySpan<NeighborRef>(env.g1.OutNeighbors(u),
+                                           env.g2.OutNeighbors(v), emit);
+    } else {
+      classifier.ClassifySpan<NeighborRef>(env.g1.InNeighbors(u),
+                                           env.g2.InNeighbors(v), emit);
     }
-    for (int dir : {kOut, kIn}) {
-      stage_.clear();
-      if (dir == kOut) {
-        ClassifyInto(env.g1.OutNeighbors(u), env.g2.OutNeighbors(v), env,
-                     &stage_);
-      } else {
-        ClassifyInto(env.g1.InNeighbors(u), env.g2.InNeighbors(v), env,
-                     &stage_);
+  };
+  std::vector<uint64_t> offsets;
+  FillNeighborSpans<NeighborRef>(*pool, n, /*bounded=*/false, stage, &offsets,
+                                 &arena_);
+  // Tight spans, laid out in span order; pinned spans keep an empty slot.
+  spans_.assign(2 * n, SpanMeta{});
+  constexpr size_t kSpanGrain = 4096;
+  pool->ParallelForChunked(n, kSpanGrain, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      if (is_pinned(i)) continue;
+      for (size_t s = 2 * i; s < 2 * i + 2; ++s) {
+        const auto size = static_cast<uint32_t>(offsets[s + 1] - offsets[s]);
+        spans_[s] = SpanMeta{offsets[s], size, size};
       }
-      SpanMeta& m = spans_[2 * i + dir];
-      m.offset = arena_.size();
-      m.size = static_cast<uint32_t>(stage_.size());
-      m.capacity = m.size;
-      arena_.insert(arena_.end(), stage_.begin(), stage_.end());
     }
-  }
+  });
+  freed_ = 0;
+  restaged_spans_ = 0;
   enabled_ = true;
+#ifdef FSIM_DEBUG_CHECKS
+  const Status valid = Validate(n);
+  FSIM_CHECK(valid.ok()) << valid.ToString();
+#endif
   return true;
 }
 
@@ -96,11 +102,14 @@ void IncrementalNeighborIndex::Restage(size_t pair, int dir, NodeId u,
   if (pin_diagonal_ && u == v) return;
   ++restaged_spans_;
   stage_.clear();
+  const auto classifier = Classifier(env, theta_);
+  auto push = [this](const NeighborRef& e) { stage_.push_back(e); };
   if (dir == kOut) {
-    ClassifyInto(env.g1.OutNeighbors(u), env.g2.OutNeighbors(v), env,
-                 &stage_);
+    classifier.ClassifySpan<NeighborRef>(env.g1.OutNeighbors(u),
+                                         env.g2.OutNeighbors(v), push);
   } else {
-    ClassifyInto(env.g1.InNeighbors(u), env.g2.InNeighbors(v), env, &stage_);
+    classifier.ClassifySpan<NeighborRef>(env.g1.InNeighbors(u),
+                                         env.g2.InNeighbors(v), push);
   }
   SpanMeta& m = spans_[2 * pair + dir];
   if (stage_.size() <= m.capacity) {

@@ -35,6 +35,7 @@
 #include "common/check.h"
 #include "common/flat_pair_map.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/fsim_config.h"
 #include "core/operators.h"
 #include "graph/dynamic_graph.h"
@@ -57,12 +58,14 @@ class IncrementalNeighborIndex {
   static constexpr int kOut = 0;
   static constexpr int kIn = 1;
 
-  /// Materializes both direction spans for every maintained pair.
-  /// Returns false — leaving the index disabled, so callers fall back to
-  /// hash lookups — when the estimated footprint exceeds
+  /// Materializes both direction spans for every maintained pair, tight
+  /// and in pair order, through the staged fill shared with the batch
+  /// index (core/neighbor_fill.h); chunks run on `pool`, or inline when it
+  /// is null. Returns false — leaving the index disabled, so callers fall
+  /// back to hash lookups — when the estimated footprint exceeds
   /// config.neighbor_index_budget_bytes or the ref range would overflow.
   bool Build(const NeighborIndexEnv& env, std::span<const uint64_t> keys,
-             const FSimConfig& config);
+             const FSimConfig& config, ThreadPool* pool = nullptr);
 
   bool enabled() const { return enabled_; }
 
@@ -98,8 +101,9 @@ class IncrementalNeighborIndex {
   /// slack accounting balances (Σ capacity + freed_ == arena size — a
   /// Restage that leaks or double-frees a slot breaks the equality), every
   /// ref targets a maintained pair, and each span is strictly
-  /// (row, col)-sorted. Trivially OK while disabled. Bumps
-  /// ValidatorCounters "IncrementalNeighborIndex::Validate".
+  /// (row, col)-sorted. Trivially OK while disabled. Runs automatically
+  /// after Build under FSIM_DEBUG_CHECKS. Bumps ValidatorCounters
+  /// "IncrementalNeighborIndex::Validate".
   Status Validate(size_t num_pairs) const;
 
  private:
@@ -113,10 +117,6 @@ class IncrementalNeighborIndex {
     uint32_t capacity = 0;
   };
 
-  /// Appends the classified entries of one direction of (u, v) to stage_.
-  void ClassifyInto(std::span<const NodeId> s1, std::span<const NodeId> s2,
-                    const NeighborIndexEnv& env, std::vector<NeighborRef>* out) const;
-
   /// Rewrites the arena with tight spans, dropping freed capacity.
   void Compact();
 
@@ -125,7 +125,6 @@ class IncrementalNeighborIndex {
   void Disable();
 
   bool enabled_ = false;
-  bool need_compat_ = false;
   double theta_ = 0.0;
   bool pin_diagonal_ = false;
   uint64_t budget_bytes_ = 0;

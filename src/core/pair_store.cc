@@ -1,26 +1,21 @@
 #include "core/pair_store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/init_value.h"
+#include "core/neighbor_fill.h"
 #include "core/operators.h"
 
 namespace fsim {
 
 namespace {
 
-/// Groups node ids by label id.
-std::vector<std::vector<NodeId>> NodesByLabel(const Graph& g,
-                                              size_t dict_size) {
-  std::vector<std::vector<NodeId>> groups(dict_size);
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    groups[g.Label(u)].push_back(u);
-  }
-  return groups;
-}
+// Pair chunk of the pooled per-pair passes (Eq. 6 bound, FSim^0 init); rows
+// are filled in chunks of kRowGrain.
+constexpr size_t kPairGrain = 1024;
+constexpr size_t kRowGrain = 64;
 
 }  // namespace
 
@@ -29,113 +24,134 @@ Result<PairStore> PairStore::Build(const Graph& g1, const Graph& g2,
                                    const LabelSimilarityCache& lsim,
                                    bool build_neighbor_index,
                                    ThreadPool* pool) {
+  ThreadPool inline_pool(1);
+  if (pool == nullptr) pool = &inline_pool;
   PairStore store;
   const size_t n1 = g1.NumNodes();
   const size_t n2 = g2.NumNodes();
 
   // --- Stage 1: θ-constrained candidate enumeration (Remark 2). ---
+  // Row u is the ascending list of g2 nodes label-compatible with
+  // label(u), built once per label of g1 (every g2 node when θ <= 0). Rows
+  // are filled in parallel from their prefix sum, so the keys come out
+  // already sorted u-major.
+  std::vector<std::vector<NodeId>> row_nodes;
+  std::vector<uint32_t> row_of(n1, 0);  // u -> its row_nodes entry
   if (config.theta <= 0.0) {
-    const uint64_t total = static_cast<uint64_t>(n1) * n2;
-    if (total > config.pair_limit) {
-      return Status::InvalidArgument(StrFormat(
-          "candidate pairs %llu exceed pair_limit %llu (theta=0 enumerates "
-          "|V1|x|V2|)",
-          static_cast<unsigned long long>(total),
-          static_cast<unsigned long long>(config.pair_limit)));
-    }
-    store.keys_.reserve(total);
-    for (NodeId u = 0; u < n1; ++u) {
-      for (NodeId v = 0; v < n2; ++v) {
-        store.keys_.push_back(PairKey(u, v));
-      }
-    }
+    row_nodes.emplace_back(n2);
+    for (NodeId v = 0; v < n2; ++v) row_nodes[0][v] = v;
   } else {
     const size_t dict_size = g1.dict()->size();
-    auto groups1 = NodesByLabel(g1, dict_size);
-    auto groups2 = NodesByLabel(g2, dict_size);
-    // Count first so the reserve is exact and the limit check is cheap.
-    uint64_t total = 0;
-    for (LabelId a = 0; a < dict_size; ++a) {
-      if (groups1[a].empty()) continue;
-      for (LabelId b = 0; b < dict_size; ++b) {
-        if (groups2[b].empty()) continue;
-        if (lsim.Compatible(a, b, config.theta)) {
-          total += static_cast<uint64_t>(groups1[a].size()) *
-                   groups2[b].size();
-        }
-      }
-    }
-    if (total > config.pair_limit) {
-      return Status::InvalidArgument(StrFormat(
-          "candidate pairs %llu exceed pair_limit %llu",
-          static_cast<unsigned long long>(total),
-          static_cast<unsigned long long>(config.pair_limit)));
-    }
-    store.keys_.reserve(total);
-    for (LabelId a = 0; a < dict_size; ++a) {
-      if (groups1[a].empty()) continue;
-      for (LabelId b = 0; b < dict_size; ++b) {
-        if (groups2[b].empty()) continue;
-        if (!lsim.Compatible(a, b, config.theta)) continue;
-        for (NodeId u : groups1[a]) {
-          for (NodeId v : groups2[b]) {
-            store.keys_.push_back(PairKey(u, v));
+    std::vector<std::vector<NodeId>> groups2(dict_size);
+    for (NodeId v = 0; v < n2; ++v) groups2[g2.Label(v)].push_back(v);
+    constexpr uint32_t kNoRow = ~0U;
+    std::vector<uint32_t> label_row(dict_size, kNoRow);
+    for (NodeId u = 0; u < n1; ++u) {
+      const LabelId a = g1.Label(u);
+      if (label_row[a] == kNoRow) {
+        label_row[a] = static_cast<uint32_t>(row_nodes.size());
+        std::vector<NodeId>& row = row_nodes.emplace_back();
+        size_t merged = 0;
+        for (LabelId b = 0; b < dict_size; ++b) {
+          if (groups2[b].empty() || !lsim.Compatible(a, b, config.theta)) {
+            continue;
           }
+          row.insert(row.end(), groups2[b].begin(), groups2[b].end());
+          ++merged;
         }
+        if (merged > 1) std::sort(row.begin(), row.end());
       }
+      row_of[u] = label_row[a];
     }
   }
+  std::vector<uint64_t> row_offsets(n1 + 1, 0);
+  for (NodeId u = 0; u < n1; ++u) {
+    row_offsets[u + 1] = row_offsets[u] + row_nodes[row_of[u]].size();
+  }
+  const uint64_t total = row_offsets[n1];
+  if (total > config.pair_limit) {
+    return Status::InvalidArgument(StrFormat(
+        config.theta <= 0.0
+            ? "candidate pairs %llu exceed pair_limit %llu (theta=0 "
+              "enumerates |V1|x|V2|)"
+            : "candidate pairs %llu exceed pair_limit %llu",
+        static_cast<unsigned long long>(total),
+        static_cast<unsigned long long>(config.pair_limit)));
+  }
+  store.keys_.resize(total);
+  pool->ParallelForChunked(n1, kRowGrain, [&](int, size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      uint64_t* out = store.keys_.data() + row_offsets[u];
+      for (NodeId v : row_nodes[row_of[u]]) {
+        *out++ = PairKey(static_cast<NodeId>(u), v);
+      }
+    }
+  });
   store.info_.theta_candidates = store.keys_.size();
 
   // --- Stage 2: upper-bound pruning (Eq. 6). ---
+  // The bounds are computed in pooled chunks; the partition into kept and
+  // pruned pairs stays in key order.
   if (config.upper_bound) {
     const OperatorConfig op = config.operators();
     const double label_weight = 1.0 - config.w_out - config.w_in;
     auto compat = [&](NodeId x, NodeId y) {
       return lsim.Compatible(g1.Label(x), g2.Label(y), config.theta);
     };
-    std::vector<uint64_t> kept;
-    kept.reserve(store.keys_.size());
+    const size_t n = store.keys_.size();
+    std::vector<float> bounds(n);
+    std::vector<uint8_t> keep(n);
+    pool->ParallelForChunked(n, kPairGrain, [&](int, size_t begin,
+                                                size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const NodeId u = PairFirst(store.keys_[i]);
+        const NodeId v = PairSecond(store.keys_[i]);
+        const double bound =
+            config.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
+                                               g2.OutNeighbors(v), compat) +
+            config.w_in * DirectionUpperBound(op, g1.InNeighbors(u),
+                                              g2.InNeighbors(v), compat) +
+            label_weight *
+                LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
+        bounds[i] = static_cast<float>(bound);
+        keep[i] = bound > config.beta || (config.pin_diagonal && u == v);
+      }
+    });
     const bool track_pruned = config.alpha > 0.0;
-    for (uint64_t key : store.keys_) {
-      const NodeId u = PairFirst(key);
-      const NodeId v = PairSecond(key);
-      double bound =
-          config.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
-                                             g2.OutNeighbors(v), compat) +
-          config.w_in * DirectionUpperBound(op, g1.InNeighbors(u),
-                                            g2.InNeighbors(v), compat) +
-          label_weight *
-              LabelTermValue(config, lsim, g1.Label(u), g2.Label(v));
-      const bool keep = bound > config.beta ||
-                        (config.pin_diagonal && u == v);
-      if (keep) {
-        kept.push_back(key);
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (keep[i]) {
+        store.keys_[kept++] = store.keys_[i];
       } else if (track_pruned) {
-        store.pruned_index_.Insert(key,
-                                   static_cast<uint32_t>(store.pruned_ub_.size()));
-        store.pruned_ub_.push_back(static_cast<float>(bound));
+        store.pruned_index_.Insert(
+            store.keys_[i], static_cast<uint32_t>(store.pruned_ub_.size()));
+        store.pruned_ub_.push_back(bounds[i]);
       }
     }
-    store.info_.pruned = store.keys_.size() - kept.size();
-    store.keys_ = std::move(kept);
+    store.info_.pruned = n - kept;
+    store.keys_.resize(kept);
   }
   store.info_.kept = store.keys_.size();
 
   // --- Stage 3: index + initialization (§3.3). ---
-  std::sort(store.keys_.begin(), store.keys_.end());
-  store.index_ = FlatPairMap(store.keys_.size());
-  store.prev_.resize(store.keys_.size());
-  store.curr_.resize(store.keys_.size());
-  for (size_t i = 0; i < store.keys_.size(); ++i) {
+  const size_t n = store.keys_.size();
+  store.index_ = FlatPairMap(n);
+  for (size_t i = 0; i < n; ++i) {
     store.index_.Insert(store.keys_[i], static_cast<uint32_t>(i));
-    store.prev_[i] = InitValue(config, lsim, g1, g2, PairFirst(store.keys_[i]),
-                               PairSecond(store.keys_[i]));
   }
+  store.prev_.resize(n);
+  store.curr_.resize(n);
+  pool->ParallelForChunked(n, kPairGrain, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      store.prev_[i] = InitValue(config, lsim, g1, g2,
+                                 PairFirst(store.keys_[i]),
+                                 PairSecond(store.keys_[i]));
+    }
+  });
 
   // --- Stage 4: pair-graph CSR neighbor index (budget-gated). ---
   if (build_neighbor_index && config.neighbor_index_budget_bytes > 0) {
-    store.BuildNeighborIndex(g1, g2, config, lsim, pool);
+    store.BuildNeighborIndex(g1, g2, config, lsim, *pool);
 #ifdef FSIM_DEBUG_CHECKS
     const Status valid = store.ValidateNeighborIndex();
     FSIM_CHECK(valid.ok()) << valid.ToString();
@@ -222,7 +238,7 @@ Status PairStore::ValidateNeighborIndex() const {
 void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
                                    const FSimConfig& config,
                                    const LabelSimilarityCache& lsim,
-                                   ThreadPool* pool) {
+                                   ThreadPool& pool) {
   const size_t n = keys_.size();
   // The pruned-ref tag bit halves the addressable range of a ref.
   if (n >= kNeighborRefPrunedTag || pruned_ub_.size() >= kNeighborRefPrunedTag) {
@@ -322,199 +338,33 @@ template <typename Ref>
 void PairStore::FillNeighborRefs(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
-                                 ThreadPool* pool, bool bounded_staging,
+                                 ThreadPool& pool, bool bounded_staging,
                                  bool active_spans, std::vector<Ref>* refs) {
-  const size_t n = keys_.size();
-  const bool use_out =
-      config.w_out > 0.0 || (active_spans && config.w_in > 0.0);
-  const bool use_in =
-      config.w_in > 0.0 || (active_spans && config.w_out > 0.0);
+  const bool use_dir[2] = {
+      config.w_out > 0.0 || (active_spans && config.w_in > 0.0),
+      config.w_in > 0.0 || (active_spans && config.w_out > 0.0)};
   const bool skip_diagonal = config.pin_diagonal && !active_spans;
-  const double theta = config.theta;
-  const bool need_compat = theta > 0.0;
-  const double alpha = config.upper_bound ? config.alpha : 0.0;
-
-  // Score source of candidate pair (x, y): the maintained-pair index, or a
-  // tagged pruned-bound index whose lookup value is α * bound. Pairs that
-  // are label-incompatible, or whose fallback lookup would return 0 (pruned
-  // and untracked), are omitted — zero never contributes to any operator.
-  auto classify = [&](NodeId x, NodeId y, uint32_t* ref) -> bool {
-    if (need_compat && !lsim.Compatible(g1.Label(x), g2.Label(y), theta)) {
-      return false;
-    }
-    const uint32_t idx = index_.Find(PairKey(x, y));
-    if (idx != FlatPairMap::kNotFound) {
-      *ref = idx;
-      return true;
-    }
-    if (alpha > 0.0) {
-      const uint32_t p = pruned_index_.Find(PairKey(x, y));
-      if (p != FlatPairMap::kNotFound) {
-        *ref = kNeighborRefPrunedTag | p;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  nbr_offsets_.assign(2 * n + 1, 0);
-  ThreadPool serial_pool(1);
-  if (pool == nullptr) pool = &serial_pool;
-  constexpr size_t kBuildGrain = 256;
-  const size_t num_chunks = (n + kBuildGrain - 1) / kBuildGrain;
-  using PosT = decltype(Ref::row);
-
-  if (bounded_staging) {
-    // Bounded count-then-fill: a counting classification records every
-    // span's size, then — after the prefix sum fixes the layout — a second
-    // classification writes entries straight into their final slots.
-    // Classifies twice, but peak build memory is the final index footprint
-    // (no staging), which is what the budget admitted.
-    auto count_direction = [&](std::span<const NodeId> s1,
-                               std::span<const NodeId> s2) -> uint64_t {
-      uint64_t count = 0;
-      uint32_t ref;
-      for (uint32_t r = 0; r < s1.size(); ++r) {
-        for (uint32_t c = 0; c < s2.size(); ++c) {
-          if (classify(s1[r], s2[c], &ref)) ++count;
-        }
-      }
-      return count;
-    };
-    pool->ParallelForChunked(n, kBuildGrain,
-                            [&](int /*worker*/, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeId u = PairFirst(keys_[i]);
-        const NodeId v = PairSecond(keys_[i]);
-        if (skip_diagonal && u == v) continue;
-        if (use_out) {
-          nbr_offsets_[2 * i + 1] =
-              count_direction(g1.OutNeighbors(u), g2.OutNeighbors(v));
-        }
-        if (use_in) {
-          nbr_offsets_[2 * i + 2] =
-              count_direction(g1.InNeighbors(u), g2.InNeighbors(v));
-        }
-      }
-    });
-    for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
-      nbr_offsets_[k] += nbr_offsets_[k - 1];
-    }
-    refs->resize(nbr_offsets_.back());
-    auto fill_direction = [&](std::span<const NodeId> s1,
-                              std::span<const NodeId> s2, uint64_t cursor) {
-      for (uint32_t r = 0; r < s1.size(); ++r) {
-        for (uint32_t c = 0; c < s2.size(); ++c) {
-          uint32_t ref;
-          if (classify(s1[r], s2[c], &ref)) {
-            // The packed layout was selected on a degree bound; a position
-            // overflowing PosT would wrap silently and corrupt the span.
-            FSIM_DCHECK(r <= std::numeric_limits<PosT>::max());
-            FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
-            (*refs)[cursor++] =
-                Ref{static_cast<PosT>(r), static_cast<PosT>(c), ref};
-          }
-        }
-      }
-      return cursor;
-    };
-    pool->ParallelForChunked(n, kBuildGrain,
-                            [&](int /*worker*/, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeId u = PairFirst(keys_[i]);
-        const NodeId v = PairSecond(keys_[i]);
-        if (skip_diagonal && u == v) continue;
-        if (use_out) {
-          const uint64_t filled = fill_direction(
-              g1.OutNeighbors(u), g2.OutNeighbors(v), nbr_offsets_[2 * i]);
-          FSIM_DCHECK(filled == nbr_offsets_[2 * i + 1]);
-        }
-        if (use_in) {
-          const uint64_t filled = fill_direction(
-              g1.InNeighbors(u), g2.InNeighbors(v), nbr_offsets_[2 * i + 1]);
-          FSIM_DCHECK(filled == nbr_offsets_[2 * i + 2]);
-        }
-      }
-    });
-    return;
-  }
-
+  const bool track_pruned = config.upper_bound && config.alpha > 0.0;
+  const RefClassifier<Graph, Graph> classifier{
+      g1, g2, lsim, config.theta, index_,
+      track_pruned ? &pruned_index_ : nullptr};
   // One classification pass over N±(u) x N±(v) per pair — roughly the
   // lookup work of a single fallback iteration, repaid after the first
-  // indexed iteration. Chunks classify into per-chunk staging buffers
-  // while recording per-span counts; after the offsets prefix sum, each
-  // chunk's staged entries are contiguous in the final layout (chunks
-  // cover contiguous pair ranges), so placement is one bulk copy per
-  // chunk, not a second classification.
-  std::vector<std::vector<Ref>> staged(num_chunks);
-
-  auto stage_direction = [&](std::span<const NodeId> s1,
-                             std::span<const NodeId> s2,
-                             std::vector<Ref>* buf) -> uint64_t {
-    const size_t before = buf->size();
-    for (uint32_t r = 0; r < s1.size(); ++r) {
-      for (uint32_t c = 0; c < s2.size(); ++c) {
-        uint32_t ref;
-        if (classify(s1[r], s2[c], &ref)) {
-          FSIM_DCHECK(r <= std::numeric_limits<PosT>::max());
-          FSIM_DCHECK(c <= std::numeric_limits<PosT>::max());
-          buf->push_back(
-              Ref{static_cast<PosT>(r), static_cast<PosT>(c), ref});
-        }
-      }
+  // indexed iteration.
+  auto stage = [&](size_t i, int dir, auto&& emit) {
+    const NodeId u = PairFirst(keys_[i]);
+    const NodeId v = PairSecond(keys_[i]);
+    if (!use_dir[dir] || (skip_diagonal && u == v)) return;
+    if (dir == 0) {
+      classifier.template ClassifySpan<Ref>(g1.OutNeighbors(u),
+                                            g2.OutNeighbors(v), emit);
+    } else {
+      classifier.template ClassifySpan<Ref>(g1.InNeighbors(u),
+                                            g2.InNeighbors(v), emit);
     }
-    return buf->size() - before;
   };
-  pool->ParallelForChunked(n, kBuildGrain,
-                          [&](int /*worker*/, size_t begin, size_t end) {
-    // ParallelForChunked hands out grain-aligned begins (the inline
-    // single-chunk path starts at 0), so begin / kBuildGrain identifies
-    // the staging buffer.
-    std::vector<Ref>& buf = staged[begin / kBuildGrain];
-    for (size_t i = begin; i < end; ++i) {
-      const NodeId u = PairFirst(keys_[i]);
-      const NodeId v = PairSecond(keys_[i]);
-      if (skip_diagonal && u == v) continue;
-      if (use_out) {
-        nbr_offsets_[2 * i + 1] =
-            stage_direction(g1.OutNeighbors(u), g2.OutNeighbors(v), &buf);
-      }
-      if (use_in) {
-        nbr_offsets_[2 * i + 2] =
-            stage_direction(g1.InNeighbors(u), g2.InNeighbors(v), &buf);
-      }
-    }
-  });
-  // Every staging buffer is alive here, so this is the build's transient
-  // peak on top of the final index allocation.
-  for (const std::vector<Ref>& buf : staged) {
-    info_.peak_staging_bytes += buf.capacity() * sizeof(Ref);
-  }
-  // In-place prefix sum: nbr_offsets_[k] currently holds the count of
-  // span k-1.
-  for (size_t k = 1; k < nbr_offsets_.size(); ++k) {
-    nbr_offsets_[k] += nbr_offsets_[k - 1];
-  }
-
-  refs->resize(nbr_offsets_.back());
-  pool->ParallelForChunked(num_chunks, 1,
-                          [&](int /*worker*/, size_t begin, size_t end) {
-    for (size_t chunk = begin; chunk < end; ++chunk) {
-      // The chunk's entries start at its first pair's first span.
-      const uint64_t dst = nbr_offsets_[2 * (chunk * kBuildGrain)];
-      std::copy(staged[chunk].begin(), staged[chunk].end(),
-                refs->data() + dst);
-      // A non-empty buffer ends at the next chunk's start — or at the
-      // array end when it absorbed the tail (last chunk, or the pool's
-      // inline single-chunk execution staging everything into buffer 0,
-      // which leaves the remaining buffers empty with nothing to check).
-      FSIM_DCHECK(staged[chunk].empty() ||
-                  dst + staged[chunk].size() == nbr_offsets_.back() ||
-                  dst + staged[chunk].size() ==
-                      nbr_offsets_[2 * std::min((chunk + 1) * kBuildGrain, n)]);
-      staged[chunk] = std::vector<Ref>();  // release while others copy
-    }
-  });
+  info_.peak_staging_bytes = FillNeighborSpans<Ref>(
+      pool, keys_.size(), bounded_staging, stage, &nbr_offsets_, refs);
 }
 
 void FrontierTracker::Init(size_t num_pairs, int num_workers,

@@ -59,8 +59,10 @@ class PairStore {
   /// InvalidArgument if the candidate count would exceed config.pair_limit.
   /// `build_neighbor_index` lets callers that never run the Algorithm 1
   /// iterate loop (e.g. incremental maintenance) skip the index build.
-  /// `pool` parallelizes the index build when provided (the engines pass
-  /// their iterate pool); nullptr builds serially.
+  /// `pool` runs every stage in parallel chunks — row-major candidate
+  /// enumeration, the Eq. 6 bounds, the FSim^0 initialization and the
+  /// index fill (the engines pass their pool); nullptr runs the same code
+  /// inline on the caller.
   static Result<PairStore> Build(const Graph& g1, const Graph& g2,
                                  const FSimConfig& config,
                                  const LabelSimilarityCache& lsim,
@@ -209,23 +211,17 @@ class PairStore {
   /// the packed or wide entry layout.
   void BuildNeighborIndex(const Graph& g1, const Graph& g2,
                           const FSimConfig& config,
-                          const LabelSimilarityCache& lsim, ThreadPool* pool);
+                          const LabelSimilarityCache& lsim, ThreadPool& pool);
 
-  /// Classification of every pair's candidate entries into `refs`. Default
-  /// (one-pass): chunks classify into per-chunk staging buffers (recording
-  /// per-span counts), offsets are prefix-summed, then each chunk's staged
-  /// entries — contiguous in the final layout by construction — are copied
-  /// into place; transient peak reaches final + staged bytes. Bounded
-  /// (`bounded_staging`): a counting pass fills the per-span counts, offsets
-  /// are prefix-summed, then a second classification writes entries straight
-  /// into their final slots — twice the classify work, no staging. Ref is
-  /// NeighborRef or PackedNeighborRef.
+  /// Classifies every pair's candidate entries into `refs` through the
+  /// shared staged fill (core/neighbor_fill.h); `bounded_staging` selects
+  /// its count-then-fill mode. Ref is NeighborRef or PackedNeighborRef.
   /// `active_spans` selects the widened active-set span layout (see
   /// reverse_spans()).
   template <typename Ref>
   void FillNeighborRefs(const Graph& g1, const Graph& g2,
                         const FSimConfig& config,
-                        const LabelSimilarityCache& lsim, ThreadPool* pool,
+                        const LabelSimilarityCache& lsim, ThreadPool& pool,
                         bool bounded_staging, bool active_spans,
                         std::vector<Ref>* refs);
 

@@ -14,6 +14,7 @@
 #include "common/check.h"
 #include "common/flat_pair_map.h"
 #include "common/hash.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/fsim_scores.h"
 #include "core/fsim_config.h"
@@ -69,6 +70,37 @@ struct IncrementalNeighborIndexTestAccess {
         return;
       }
     }
+  }
+  // Span metadata (offset, size, capacity), freed slack and arena entries
+  // of `a` and `b` agree exactly.
+  static ::testing::AssertionResult SameLayout(
+      const IncrementalNeighborIndex& a, const IncrementalNeighborIndex& b) {
+    if (a.spans_.size() != b.spans_.size() ||
+        a.arena_.size() != b.arena_.size() || a.freed_ != b.freed_) {
+      return ::testing::AssertionFailure()
+             << "spans " << a.spans_.size() << " vs " << b.spans_.size()
+             << ", arena " << a.arena_.size() << " vs " << b.arena_.size()
+             << ", freed " << a.freed_ << " vs " << b.freed_;
+    }
+    for (size_t s = 0; s < a.spans_.size(); ++s) {
+      const auto& x = a.spans_[s];
+      const auto& y = b.spans_[s];
+      if (x.offset != y.offset || x.size != y.size ||
+          x.capacity != y.capacity) {
+        return ::testing::AssertionFailure()
+               << "span " << s << ": {" << x.offset << ", " << x.size << ", "
+               << x.capacity << "} vs {" << y.offset << ", " << y.size
+               << ", " << y.capacity << "}";
+      }
+    }
+    for (size_t k = 0; k < a.arena_.size(); ++k) {
+      const NeighborRef& x = a.arena_[k];
+      const NeighborRef& y = b.arena_[k];
+      if (x.row != y.row || x.col != y.col || x.ref != y.ref) {
+        return ::testing::AssertionFailure() << "arena entry " << k;
+      }
+    }
+    return ::testing::AssertionSuccess();
   }
   static void OverlapFirstTwoSpans(IncrementalNeighborIndex& idx) {
     size_t first = idx.spans_.size();
@@ -366,6 +398,73 @@ TEST(IncrementalIndexValidateTest, WrongPairCountRejected) {
   IncrementalFixture f;
   ASSERT_TRUE(f.built);
   EXPECT_FALSE(f.index.Validate(f.keys.size() + 1).ok());
+}
+
+// The pooled staged fill lays the index out exactly as the inline one —
+// same span metadata, same arena — and the two stay equal under Restage.
+TEST(IncrementalNeighborIndexTest, PoolBuildEqualsInlineBuild) {
+  const Graph g = fsim::testing::MakeRandomPair(73, 240, 10, 20).g1;
+  ThreadPool pool(4);
+  for (double theta : {0.0, 0.4, 1.0}) {
+    for (bool pin_diagonal : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "theta " << theta << " pin_diagonal " << pin_diagonal);
+      FSimConfig config;
+      config.label_sim = LabelSimKind::kEditDistance;
+      config.theta = theta;
+      config.pin_diagonal = pin_diagonal;
+      LabelSimilarityCache lsim(*g.dict(), config.label_sim);
+      auto store = PairStore::Build(g, g, config, lsim,
+                                    /*build_neighbor_index=*/false, &pool);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      const std::vector<uint64_t> keys = store->TakeKeys();
+      const FlatPairMap index = store->TakeIndex();
+      DynamicGraph d1(g);
+      DynamicGraph d2(g);
+      const NeighborIndexEnv env{d1, d2, index, lsim};
+      IncrementalNeighborIndex pooled;
+      IncrementalNeighborIndex inline_built;
+      ASSERT_TRUE(pooled.Build(env, keys, config, &pool));
+      ASSERT_TRUE(inline_built.Build(env, keys, config, nullptr));
+      EXPECT_TRUE(
+          IncrementalNeighborIndexTestAccess::SameLayout(pooled, inline_built));
+      EXPECT_TRUE(pooled.Validate(keys.size()).ok());
+
+      // A 20-edit stream over both graphs, re-staging what each edit
+      // invalidates (out-spans of the source's row or column, in-spans of
+      // the target's).
+      Rng rng(7300);
+      for (int e = 0; e < 20; ++e) {
+        const int graph_index = rng.Next() % 2 == 0 ? 1 : 2;
+        DynamicGraph& target = graph_index == 1 ? d1 : d2;
+        const auto n = static_cast<NodeId>(target.NumNodes());
+        const auto from = static_cast<NodeId>(rng.Next() % n);
+        const auto to = static_cast<NodeId>(rng.Next() % n);
+        const Status edit = target.HasEdge(from, to)
+                                ? target.RemoveEdge(from, to)
+                                : target.InsertEdge(from, to);
+        ASSERT_TRUE(edit.ok()) << edit.ToString();
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const NodeId u = PairFirst(keys[i]);
+          const NodeId v = PairSecond(keys[i]);
+          const NodeId node = graph_index == 1 ? u : v;
+          for (IncrementalNeighborIndex* idx : {&pooled, &inline_built}) {
+            if (node == from) {
+              idx->Restage(i, IncrementalNeighborIndex::kOut, u, v, env);
+            }
+            if (node == to) {
+              idx->Restage(i, IncrementalNeighborIndex::kIn, u, v, env);
+            }
+          }
+        }
+      }
+      EXPECT_GT(pooled.restaged_spans(), 0u);
+      EXPECT_TRUE(
+          IncrementalNeighborIndexTestAccess::SameLayout(pooled, inline_built));
+      const Status valid = pooled.Validate(keys.size());
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+    }
+  }
 }
 
 // ------------------------------------------------ SnapshotStore corruption --

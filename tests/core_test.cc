@@ -7,9 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
+#include "core/init_value.h"
 #include "core/operators.h"
 #include "core/pair_store.h"
 #include "core/rolesim.h"
@@ -313,6 +317,104 @@ TEST(PairStoreTest, UpperBoundPruningMonotoneInBeta) {
     prev_kept = store->info().kept;
     EXPECT_EQ(store->info().kept + store->info().pruned,
               store->info().theta_candidates);
+  }
+}
+
+// Row-major enumeration against a naive all-(u, v) Compatible scan, with
+// and without Eq. 6 pruning, inline and on a 4-thread pool. Edit-distance
+// similarity over 20 labels ("agent00" ... "team00", "agent01" ...) makes
+// θ = 0.4 merge several label groups into one row.
+TEST(PairStoreTest, RowMajorEnumerationMatchesBruteForce) {
+  auto pair = MakeRandomPair(61, 300, 260, 20);
+  const Graph& g1 = pair.g1;
+  const Graph& g2 = pair.g2;
+  for (double theta : {0.0, 0.4, 1.0}) {
+    SCOPED_TRACE(theta);
+    FSimConfig config;
+    config.label_sim = LabelSimKind::kEditDistance;
+    config.theta = theta;
+    LabelSimilarityCache lsim(*g1.dict(), config.label_sim);
+    std::vector<uint64_t> want;
+    bool merged_row = false;
+    for (NodeId u = 0; u < g1.NumNodes(); ++u) {
+      std::vector<LabelId> row_labels;
+      for (NodeId v = 0; v < g2.NumNodes(); ++v) {
+        if (lsim.Compatible(g1.Label(u), g2.Label(v), theta)) {
+          want.push_back(PairKey(u, v));
+          row_labels.push_back(g2.Label(v));
+        }
+      }
+      std::sort(row_labels.begin(), row_labels.end());
+      merged_row |= std::unique(row_labels.begin(), row_labels.end()) -
+                        row_labels.begin() > 1;
+    }
+    // θ = 1 keeps one label per row (L(a, b) = 1 only for a = b).
+    EXPECT_EQ(merged_row, theta < 1.0);
+    if (theta == 0.4) {
+      EXPECT_LT(want.size(), size_t{g1.NumNodes()} * g2.NumNodes());
+    }
+
+    FSimConfig ub = config;
+    ub.upper_bound = true;
+    ub.alpha = 0.3;
+    ub.beta = 0.3;
+    const OperatorConfig op = ub.operators();
+    auto compat = [&](NodeId x, NodeId y) {
+      return lsim.Compatible(g1.Label(x), g2.Label(y), theta);
+    };
+    std::vector<uint64_t> want_kept;
+    std::vector<std::pair<uint64_t, float>> want_pruned;
+    for (uint64_t key : want) {
+      const NodeId u = PairFirst(key);
+      const NodeId v = PairSecond(key);
+      const double bound =
+          ub.w_out * DirectionUpperBound(op, g1.OutNeighbors(u),
+                                         g2.OutNeighbors(v), compat) +
+          ub.w_in * DirectionUpperBound(op, g1.InNeighbors(u),
+                                        g2.InNeighbors(v), compat) +
+          (1.0 - ub.w_out - ub.w_in) *
+              LabelTermValue(ub, lsim, g1.Label(u), g2.Label(v));
+      if (bound > ub.beta) {
+        want_kept.push_back(key);
+      } else {
+        want_pruned.emplace_back(key, static_cast<float>(bound));
+      }
+    }
+    EXPECT_FALSE(want_kept.empty());
+    EXPECT_FALSE(want_pruned.empty());
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      auto store = PairStore::Build(g1, g2, config, lsim,
+                                    /*build_neighbor_index=*/false,
+                                    pool.get());
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      EXPECT_EQ(store->info().theta_candidates, want.size());
+      const std::vector<uint64_t> keys = store->TakeKeys();
+      EXPECT_EQ(keys, want);
+      for (size_t i = 1; i < keys.size(); ++i) {
+        ASSERT_LT(keys[i - 1], keys[i]) << "at " << i;
+      }
+
+      auto pruned = PairStore::Build(g1, g2, ub, lsim,
+                                     /*build_neighbor_index=*/true,
+                                     pool.get());
+      ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+      EXPECT_EQ(pruned->info().theta_candidates, want.size());
+      EXPECT_EQ(pruned->info().pruned, want_pruned.size());
+      ASSERT_EQ(pruned->size(), want_kept.size());
+      for (size_t i = 0; i < want_kept.size(); ++i) {
+        ASSERT_EQ(PairKey(pruned->U(i), pruned->V(i)), want_kept[i]);
+        EXPECT_EQ(pruned->PrunedUpperBound(pruned->U(i), pruned->V(i)), 0.0);
+      }
+      for (const auto& [key, bound] : want_pruned) {
+        EXPECT_EQ(pruned->PrunedUpperBound(PairFirst(key), PairSecond(key)),
+                  static_cast<double>(bound));
+      }
+      EXPECT_TRUE(pruned->ValidateNeighborIndex().ok());
+    }
   }
 }
 
