@@ -173,10 +173,11 @@ struct FSimConfig {
   /// frontier_tolerance * (1 + w) / (1 - w), w = w+ + w-.
   double frontier_tolerance = 1e-6;
 
-  /// Frontiers holding at least this fraction of the maintained pairs are
-  /// evaluated as plain full sweeps (dense frontiers are cheaper without
-  /// the indirection); 0 forces full sweeps, 1 always uses the frontier
-  /// path when the active set is engaged.
+  /// Frontiers holding at least this fraction of the live pairs (those a
+  /// full sweep after the first evaluates) are evaluated as full sweeps
+  /// (dense frontiers are cheaper without the indirection); 0 forces full
+  /// sweeps, 1 always uses the frontier path when the active set is
+  /// engaged.
   double frontier_density_threshold = 0.5;
 
   /// Dependent marking — the reverse span walk per changed pair — costs

@@ -102,7 +102,7 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   // Pre-reserve the iteration-indexed telemetry: the hard bound is known up
   // front, so the hot loop never reallocates mid-iteration.
   if (config.record_delta_history) stats.delta_history.reserve(max_iters);
-  if (driver.active()) stats.active_pairs_history.reserve(max_iters);
+  stats.active_pairs_history.reserve(max_iters);
 
   for (uint32_t iter = 1; iter <= max_iters; ++iter) {
     FSIM_TRACE_SPAN_ARG("engine.iter", iter);
@@ -110,9 +110,7 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
     stats.iterations = iter;
     stats.final_delta = max_delta;
     if (config.record_delta_history) stats.delta_history.push_back(max_delta);
-    if (driver.active()) {
-      stats.active_pairs_history.push_back(driver.last_evaluated());
-    }
+    stats.active_pairs_history.push_back(driver.last_evaluated());
     if (max_delta < config.epsilon) {
       stats.converged = true;
       break;
@@ -121,7 +119,7 @@ Result<FSimScores> ComputeFSim(const Graph& g1, const Graph& g2,
   stats.iterate_seconds = iterate_timer.Seconds();
   stats.frontier_build_seconds = driver.frontier_build_seconds();
   stats.full_sweep_iterations = driver.full_sweeps();
-  if (driver.active() && stats.iterations > 0 && store.size() > 0) {
+  if (stats.iterations > 0 && store.size() > 0) {
     stats.frozen_fraction =
         1.0 - static_cast<double>(driver.total_evaluated()) /
                   (static_cast<double>(stats.iterations) *

@@ -15,7 +15,9 @@ namespace fsim {
 /// Statistics of a ComputeFSim run.
 struct FSimStats {
   size_t theta_candidates = 0;  // pairs after the θ filter
-  size_t maintained_pairs = 0;  // pairs actually iterated (after β pruning)
+  /// Pairs kept after β pruning. The first sweep evaluates all of them;
+  /// later sweeps skip the constant ones (active_pairs_history).
+  size_t maintained_pairs = 0;
   size_t pruned_pairs = 0;      // pairs removed by upper-bound updating
   uint32_t iterations = 0;
   bool converged = false;
@@ -44,13 +46,17 @@ struct FSimStats {
   /// True when the iterate loop ran under active-set scheduling
   /// (FSimConfig::active_set != kOff and the CSR neighbor index present).
   bool active_set = false;
-  /// Pairs evaluated per iteration under active-set scheduling (the first
-  /// entry is the full maintained-pair count; later entries shrink as
-  /// pairs freeze). Empty when active_set is false.
+  /// Pairs evaluated per iteration, whatever the scheduling. The first
+  /// entry is the maintained-pair count. With the neighbor index, later
+  /// full sweeps evaluate only the live pairs (PairStore::LivePairs:
+  /// constant pairs are final after the first sweep), and active-set
+  /// frontiers shrink further as pairs freeze; without it every entry is
+  /// the maintained-pair count.
   std::vector<size_t> active_pairs_history;
-  /// Fraction of the iterate loop's pair evaluations the active set
-  /// skipped: 1 - evaluated / (iterations * maintained_pairs). 0 when
-  /// active-set scheduling was off.
+  /// Fraction of the iterate loop's pair evaluations skipped, by constant
+  /// pairs and by the active set together:
+  /// 1 - evaluated / (iterations * maintained_pairs). 0 without the
+  /// neighbor index.
   double frozen_fraction = 0.0;
   /// Accumulated time spent building frontiers from the epoch-tagged dirty
   /// stamps (part of iterate_seconds).

@@ -131,8 +131,13 @@ struct alignas(64) WorkerMaxDelta {
 /// complete new state:
 ///
 ///  * The first iteration (and every iteration with the active set off or
-///    the CSR index absent) is a plain full sweep over all maintained
-///    pairs, followed by an O(1) SwapBuffers.
+///    the CSR index absent) is a plain full sweep followed by an O(1)
+///    SwapBuffers. The first sweep evaluates every maintained pair; with
+///    the index, it then copies its values into both buffers, and later
+///    full sweeps evaluate only PairStore::LivePairs(). A constant pair's
+///    Eq. 3 inputs are its degrees, labels and Eq. 6 bounds, so its value
+///    is final after sweep 1 and its delta is exactly 0 from sweep 2 on;
+///    skipping it changes no value, delta or iteration count.
 ///  * While sweeping, workers stamp the dependents of every changed pair
 ///    into their FrontierTracker arrays by walking the pair's own CSR
 ///    spans in reverse: the refs of the in-span are exactly the pairs
@@ -141,8 +146,8 @@ struct alignas(64) WorkerMaxDelta {
 ///  * Later iterations evaluate only the built frontier and commit the
 ///    evaluated entries into the previous buffer (selective forward copy);
 ///    every frozen pair keeps its score for free. Frontiers at or above
-///    FSimConfig::frontier_density_threshold of the store fall back to a
-///    full sweep — dense frontiers are cheaper as sweeps.
+///    FSimConfig::frontier_density_threshold of the live pairs fall back
+///    to a full sweep — dense frontiers are cheaper as sweeps.
 ///
 /// In kExact mode a pair is skipped only when *none* of its inputs changed
 /// at all, which (with the deterministic operators) is provably
@@ -175,6 +180,9 @@ class ActiveSetDriver {
         store_(store),
         evaluator_(evaluator),
         config_(config),
+        live_(store.LivePairs()),
+        sweep_pairs_(store.has_neighbor_index() ? live_.size()
+                                                : store.size()),
         scratch_(static_cast<size_t>(pool.num_threads())),
         worker_stats_(static_cast<size_t>(pool.num_threads())) {
     mode_ = ActiveSetMode::kOff;
@@ -229,26 +237,46 @@ class ActiveSetDriver {
       frontier_build_seconds_ += build_timer.Seconds();
       full = static_cast<double>(frontier_.size()) >=
              config_.frontier_density_threshold *
-                 static_cast<double>(store_.size());
+                 static_cast<double>(sweep_pairs_);
     }
     if (marking_) tracker_.BeginIteration();
     for (auto& w : worker_stats_) w = WorkerSweepStats{};
     const size_t iterate_grain = config_.iterate_grain;
     if (full) {
-      FSIM_TRACE_SPAN_ARG("engine.sweep.full", store_.size());
-      pool_.ParallelForChunked(
-          store_.size(), iterate_grain,
-          [&](int worker, size_t begin, size_t end) {
-            MatchingScratch* scratch = &scratch_[worker];
-            WorkerSweepStats local;
-            for (size_t i = begin; i < end; ++i) {
-              EvaluatePair(worker, i, scratch, &local);
-            }
-            Fold(worker, local);
-          });
+      // Sweeps after the first evaluate the live pairs only: the first
+      // leaves every constant pair's final value in both buffers.
+      const size_t count = iter_ == 1 ? store_.size() : sweep_pairs_;
+      FSIM_TRACE_SPAN_ARG("engine.sweep.full", count);
+      auto sweep = [&](auto pair_at) {
+        pool_.ParallelForChunked(
+            count, iterate_grain, [&](int worker, size_t begin, size_t end) {
+              MatchingScratch* scratch = &scratch_[worker];
+              WorkerSweepStats local;
+              for (size_t k = begin; k < end; ++k) {
+                EvaluatePair(worker, pair_at(k), scratch, &local);
+              }
+              Fold(worker, local);
+            });
+      };
+      if (count == store_.size()) {
+        sweep([](size_t k) { return k; });
+      } else {
+        sweep([this](size_t k) { return size_t{live_[k]}; });
+      }
+      if (iter_ == 1 && sweep_pairs_ < store_.size()) {
+        // Copy sweep 1's values into the previous buffer too, so after the
+        // swap both buffers hold every constant pair's final value and no
+        // later swap, sweep or commit can expose its FSim^0.
+        constexpr size_t kCopyGrain = 4096;
+        pool_.ParallelForChunked(
+            store_.size(), kCopyGrain,
+            [&](int /*worker*/, size_t begin, size_t end) {
+              for (size_t i = begin; i < end; ++i) store_.CommitPair(i);
+            });
+      }
       store_.SwapBuffers();
       ++full_sweeps_;
-      last_evaluated_ = store_.size();
+      last_evaluated_ = count;
     } else {
       FSIM_TRACE_SPAN_ARG("engine.sweep.frontier", frontier_.size());
       // Priority draining: a pair's evaluation cost is dominated by the
@@ -299,7 +327,7 @@ class ActiveSetDriver {
     // tolerance mode by the fraction of sub-tolerance deltas.
     can_build_frontier_ = marking_;
     if (mode_ != ActiveSetMode::kOff && !marking_) {
-      const double n = static_cast<double>(store_.size());
+      const double n = static_cast<double>(sweep_pairs_);
       if (mode_ == ActiveSetMode::kExact) {
         marking_ = static_cast<double>(dep_bound) <=
                    (1.0 - config_.active_set_activation_fraction) * n;
@@ -320,7 +348,9 @@ class ActiveSetDriver {
   /// True when active-set scheduling is engaged (mode != kOff and the CSR
   /// neighbor index was materialized).
   bool active() const { return mode_ != ActiveSetMode::kOff; }
-  /// Pairs evaluated by the most recent Step.
+  /// Pairs evaluated by the most recent Step: every maintained pair on
+  /// the first, the live pairs on later full sweeps, the frontier on
+  /// frontier sweeps.
   size_t last_evaluated() const { return last_evaluated_; }
   /// Pairs evaluated across all Steps so far.
   size_t total_evaluated() const { return total_evaluated_; }
@@ -445,6 +475,12 @@ class ActiveSetDriver {
   const FSimConfig& config_;
   ActiveSetMode mode_;
   ReverseDepScheme scheme_ = ReverseDepScheme::kTranspose;
+  /// The store's live pairs (empty without the index).
+  std::span<const uint32_t> live_;
+  /// Pairs a full sweep after the first evaluates: the live pairs with the
+  /// index, every maintained pair without it. The frontier-density and
+  /// marking tests measure against it.
+  size_t sweep_pairs_;
   /// Dependent marking engaged (see active_set_activation_fraction).
   bool marking_ = false;
   /// The previous sweep marked, so its stamps form a complete frontier.

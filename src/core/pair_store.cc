@@ -232,6 +232,25 @@ Status PairStore::ValidateNeighborIndex() const {
       if (!st.ok()) return st;
     }
   }
+  // The live list: strictly ascending, and exactly the pairs whose
+  // evaluation reads a maintained score.
+  size_t next = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool listed = next < live_pairs_.size() && live_pairs_[next] == i;
+    if (listed != ReadsMaintainedScore(i)) {
+      return Status::Internal(StrFormat(
+          listed ? "live list holds pair %zu, which reads no maintained score"
+                 : "live list omits pair %zu, which reads a maintained score",
+          i));
+    }
+    next += listed;
+  }
+  if (next != live_pairs_.size()) {
+    return Status::Internal(StrFormat(
+        "live list is not strictly ascending within the %zu pairs "
+        "(%zu of %zu entries matched)",
+        n, next, live_pairs_.size()));
+  }
   return Status::OK();
 }
 
@@ -331,7 +350,62 @@ void PairStore::BuildNeighborIndex(const Graph& g1, const Graph& g2,
   info_.bounded_staging_build = bounded;
   packed_refs_ = packed;
   reverse_spans_ = active_spans;
+  evaluates_out_ = config.w_out > 0.0;
+  evaluates_in_ = config.w_in > 0.0;
+  pin_diagonal_ = config.pin_diagonal;
   has_neighbor_index_ = true;
+  CollectLivePairs(pool);
+}
+
+bool PairStore::ReadsMaintainedScore(size_t i) const {
+  const bool pinned = pin_diagonal_ && U(i) == V(i);
+  if (pruned_ub_.empty()) {
+    // No tagged refs exist, so every entry reads a maintained score and a
+    // nonempty evaluated span decides. Branch-free: about half the pairs
+    // of a θ = 1 run are live, in no predictable order.
+    const uint64_t* off = nbr_offsets_.data() + 2 * i;
+    return (!pinned) & ((evaluates_out_ & (off[1] > off[0])) |
+                        (evaluates_in_ & (off[2] > off[1])));
+  }
+  if (pinned) return false;
+  auto any_untagged = [](auto refs) {
+    return std::any_of(refs.begin(), refs.end(), [](const auto& e) {
+      return !IsPrunedRef(e.ref);
+    });
+  };
+  auto reads = [&](auto out_refs, auto in_refs) {
+    return (evaluates_out_ && any_untagged(out_refs)) ||
+           (evaluates_in_ && any_untagged(in_refs));
+  };
+  return packed_refs_ ? reads(OutRefsPacked(i), InRefsPacked(i))
+                      : reads(OutRefs(i), InRefs(i));
+}
+
+void PairStore::CollectLivePairs(ThreadPool& pool) {
+  // Two chunked passes, count then fill, so the list comes out ascending.
+  const size_t n = keys_.size();
+  const size_t num_chunks = (n + kPairGrain - 1) / kPairGrain;
+  std::vector<uint32_t> chunk_offsets(num_chunks + 1, 0);
+  pool.ParallelForChunked(n, kPairGrain, [&](int, size_t begin, size_t end) {
+    uint32_t count = 0;
+    for (size_t i = begin; i < end; ++i) count += ReadsMaintainedScore(i);
+    chunk_offsets[begin / kPairGrain + 1] = count;
+  });
+  for (size_t c = 1; c <= num_chunks; ++c) {
+    chunk_offsets[c] += chunk_offsets[c - 1];
+  }
+  live_pairs_.resize(chunk_offsets[num_chunks]);
+  pool.ParallelForChunked(n, kPairGrain, [&](int, size_t begin, size_t end) {
+    // Every pair is written at the cursor, which only live pairs advance
+    // (branch-free, as above); the bound keeps the writes in this chunk's
+    // slots once its last live pair is placed.
+    uint32_t pos = chunk_offsets[begin / kPairGrain];
+    const uint32_t stop = chunk_offsets[begin / kPairGrain + 1];
+    for (size_t i = begin; i < end && pos < stop; ++i) {
+      live_pairs_[pos] = static_cast<uint32_t>(i);
+      pos += ReadsMaintainedScore(i);
+    }
+  });
 }
 
 template <typename Ref>

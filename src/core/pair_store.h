@@ -167,6 +167,15 @@ class PairStore {
                : 0;
   }
 
+  /// Ascending indices of the live pairs: those whose Eq. 3 value reads a
+  /// maintained score, i.e. some evaluated span (out when w+ > 0, in when
+  /// w- > 0) holds an untagged ref. Every other pair is constant — its
+  /// spans are empty or read only Eq. 6 bounds, or it is a pinned diagonal
+  /// pair — so its value is final after the first sweep, and sweeps after
+  /// it evaluate only this list (docs/performance.md "Constant pairs").
+  /// Empty when the index was not materialized.
+  std::span<const uint32_t> LivePairs() const { return live_pairs_; }
+
   /// Previous-iteration scores, indexed by untagged NeighborRef::ref values.
   /// The pointer is stable across SwapBuffers only if re-read afterwards.
   const double* prev_data() const { return prev_.data(); }
@@ -188,7 +197,9 @@ class PairStore {
   /// index is built tight, unlike the incremental arena's tracked slack),
   /// exactly one entry layout is populated (per packed_refs()), every
   /// untagged ref targets a maintained pair, every tagged ref targets a
-  /// tracked pruned bound, and each span is strictly (row, col)-sorted.
+  /// tracked pruned bound, each span is strictly (row, col)-sorted, and
+  /// LivePairs() is strictly ascending and lists exactly the pairs with an
+  /// untagged ref in an evaluated span (pinned diagonal pairs excluded).
   /// Trivially OK when the index was not materialized. O(entries); runs
   /// automatically after Build under FSIM_DEBUG_CHECKS. Bumps
   /// ValidatorCounters "PairStore::ValidateNeighborIndex".
@@ -225,6 +236,14 @@ class PairStore {
                         bool bounded_staging, bool active_spans,
                         std::vector<Ref>* refs);
 
+  /// Collects live_pairs_ from the finished index (see LivePairs()).
+  void CollectLivePairs(ThreadPool& pool);
+
+  /// True when pair i's Eq. 3 evaluation reads a maintained score: it is
+  /// not a pinned diagonal pair and an evaluated span holds an untagged
+  /// ref.
+  bool ReadsMaintainedScore(size_t i) const;
+
   std::vector<uint64_t> keys_;  // sorted ascending: u-major, then v
   FlatPairMap index_;
   std::vector<double> prev_;
@@ -240,9 +259,15 @@ class PairStore {
   bool has_neighbor_index_ = false;
   bool packed_refs_ = false;
   bool reverse_spans_ = false;
+  // The directions Eq. 3 evaluates (nonzero weight) and the pin_diagonal
+  // flag, recorded with the index so liveness can be re-derived.
+  bool evaluates_out_ = false;
+  bool evaluates_in_ = false;
+  bool pin_diagonal_ = false;
   std::vector<uint64_t> nbr_offsets_;
   std::vector<NeighborRef> nbr_refs_;
   std::vector<PackedNeighborRef> nbr_refs_packed_;
+  std::vector<uint32_t> live_pairs_;  // ascending; see LivePairs()
 };
 
 /// Race-free, allocation-free (after Init) construction of the next

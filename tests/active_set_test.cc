@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -21,9 +22,12 @@
 #include "core/fsim_config.h"
 #include "core/fsim_engine.h"
 #include "core/incremental.h"
+#include "core/pair_store.h"
 #include "core/topk_allpairs.h"
+#include "datasets/dataset_registry.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "label/label_similarity.h"
 
 namespace fsim {
 namespace {
@@ -385,6 +389,226 @@ TEST(ActiveSetIncremental, InitialSolveLockstep) {
     EXPECT_EQ(a.stats().converged, b.stats().converged) << c.name;
     for (size_t i = 0; i < a.values().size(); ++i) {
       ASSERT_EQ(a.values()[i], b.values()[i]) << c.name << " pair " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Constant pairs: a pair none of whose evaluated spans holds an untagged ref
+// (or a pinned diagonal pair) is final after the first sweep, and every
+// indexed sweep after it evaluates only PairStore::LivePairs(). The oracle
+// is the hash-lookup path (neighbor_index_budget_bytes = 0), which still
+// evaluates every pair in every sweep.
+
+/// The amazon analog at 1/32 of its registry size (same label count,
+/// degree caps and skew): as at full size, about half of its θ = 1 pairs
+/// have no label-compatible neighbor pair.
+const Graph& SmallAmazon() {
+  static const Graph g = [] {
+    DatasetSpec spec = DatasetSpecByName("amazon").ValueOrDie();
+    spec.nodes /= 32;
+    spec.edges /= 32;
+    return MakeDataset(spec);
+  }();
+  return g;
+}
+
+/// Pairs whose Eq. 3 value reads a maintained score, counted from the
+/// graph and the result's key set alone: not a pinned diagonal pair, and
+/// some maintained (x, y) in N+(u) x N+(v) (w+ > 0) or N-(u) x N-(v)
+/// (w- > 0).
+size_t CountLivePairs(const Graph& g, const FSimConfig& config,
+                      const FSimScores& scores) {
+  auto reads = [&](std::span<const NodeId> s1, std::span<const NodeId> s2) {
+    for (NodeId x : s1) {
+      for (NodeId y : s2) {
+        if (scores.Contains(x, y)) return true;
+      }
+    }
+    return false;
+  };
+  size_t live = 0;
+  for (uint64_t key : scores.keys()) {
+    const NodeId u = PairFirst(key);
+    const NodeId v = PairSecond(key);
+    if (config.pin_diagonal && u == v) continue;
+    if ((config.w_out > 0.0 && reads(g.OutNeighbors(u), g.OutNeighbors(v))) ||
+        (config.w_in > 0.0 && reads(g.InNeighbors(u), g.InNeighbors(v)))) {
+      ++live;
+    }
+  }
+  return live;
+}
+
+/// Runs `config` on `g` through the hash-lookup path and through the index
+/// with the active set off and exact, at 1 and 4 threads, and asserts the
+/// indexed runs match it bit for bit while skipping the constant pairs:
+/// after the first sweep, every kOff sweep evaluates exactly the live
+/// pairs, fewer than the maintained ones, and no kExact sweep more.
+void ExpectConstantPairsSkipped(const Graph& g, FSimConfig config,
+                                const std::string& context) {
+  config.neighbor_index_budget_bytes = 0;
+  config.num_threads = 1;
+  auto lookup = ComputeFSimSelf(g, config);
+  ASSERT_TRUE(lookup.ok()) << context << ": " << lookup.status().ToString();
+  ASSERT_FALSE(lookup->stats().used_neighbor_index) << context;
+  const FSimStats& ls = lookup->stats();
+  ASSERT_EQ(ls.active_pairs_history.size(), ls.iterations) << context;
+  for (size_t evaluated : ls.active_pairs_history) {
+    EXPECT_EQ(evaluated, ls.maintained_pairs) << context;
+  }
+  EXPECT_EQ(ls.frozen_fraction, 0.0) << context;
+  const size_t live = CountLivePairs(g, config, *lookup);
+  ASSERT_LT(live, ls.maintained_pairs) << context << ": no constant pairs";
+
+  config.neighbor_index_budget_bytes = 1ULL << 30;
+  for (ActiveSetMode mode : {ActiveSetMode::kOff, ActiveSetMode::kExact}) {
+    for (int threads : {1, 4}) {
+      const std::string what =
+          context + (mode == ActiveSetMode::kOff ? " off" : " exact") +
+          " t" + std::to_string(threads);
+      config.active_set = mode;
+      config.num_threads = threads;
+      auto indexed = ComputeFSimSelf(g, config);
+      ASSERT_TRUE(indexed.ok()) << what << ": "
+                                << indexed.status().ToString();
+      const FSimStats& is = indexed->stats();
+      ASSERT_TRUE(is.used_neighbor_index) << what;
+      EXPECT_EQ(is.iterations, ls.iterations) << what;
+      EXPECT_EQ(is.converged, ls.converged) << what;
+      ASSERT_EQ(indexed->keys(), lookup->keys()) << what;
+      for (size_t i = 0; i < lookup->values().size(); ++i) {
+        ASSERT_EQ(indexed->values()[i], lookup->values()[i])
+            << what << " pair " << i << " (u=" << PairFirst(lookup->keys()[i])
+            << ", v=" << PairSecond(lookup->keys()[i]) << ")";
+      }
+      const auto& history = is.active_pairs_history;
+      ASSERT_EQ(history.size(), is.iterations) << what;
+      EXPECT_EQ(history.front(), is.maintained_pairs) << what;
+      // Exact mode sweeps the live pairs too, or a frontier below the
+      // density threshold of them.
+      for (size_t k = 1; k < history.size(); ++k) {
+        if (mode == ActiveSetMode::kOff) {
+          EXPECT_EQ(history[k], live) << what << " sweep " << k + 1;
+        } else {
+          EXPECT_LE(history[k], live) << what << " sweep " << k + 1;
+        }
+      }
+      if (mode == ActiveSetMode::kOff && is.iterations > 1) {
+        const double evaluated = static_cast<double>(
+            is.maintained_pairs + (is.iterations - 1) * live);
+        EXPECT_DOUBLE_EQ(is.frozen_fraction,
+                         1.0 - evaluated / (is.iterations *
+                                            static_cast<double>(
+                                                is.maintained_pairs)))
+            << what;
+      }
+    }
+  }
+}
+
+FSimConfig SmallAmazonConfig(SimVariant variant, double theta) {
+  FSimConfig config;
+  config.variant = variant;
+  config.w_out = 0.4;
+  config.w_in = 0.4;
+  // Edit distance keeps θ = 0.4 selective (Jaro-Winkler passes every
+  // pair of the generator's label names there).
+  config.label_sim = LabelSimKind::kEditDistance;
+  config.theta = theta;
+  config.epsilon = 1e-3;
+  return config;
+}
+
+TEST(ActiveSetConstantPairs, VariantsMatchLookupPath) {
+  for (SimVariant variant :
+       {SimVariant::kSimple, SimVariant::kDegreePreserving, SimVariant::kBi,
+        SimVariant::kBijective}) {
+    for (double theta : {0.4, 1.0}) {
+      ExpectConstantPairsSkipped(
+          SmallAmazon(), SmallAmazonConfig(variant, theta),
+          std::string(SimVariantName(variant)) +
+              " theta=" + std::to_string(theta));
+    }
+  }
+}
+
+// The skip starts at sweep 2 and needs sweep 1's values in both buffers:
+// runs stopped after 1, 2 and 3 sweeps must match too.
+TEST(ActiveSetConstantPairs, FirstSweepsMatchLookupPath) {
+  for (uint32_t max_iterations : {1u, 2u, 3u}) {
+    FSimConfig config = SmallAmazonConfig(SimVariant::kSimple, 1.0);
+    config.max_iterations = max_iterations;
+    config.epsilon = 1e-300;
+    ExpectConstantPairsSkipped(
+        SmallAmazon(), config,
+        "max_iterations=" + std::to_string(max_iterations));
+  }
+}
+
+// One evaluated direction with the diagonal pinned to 1: pinned pairs are
+// constant although other pairs read them, and spans of the unevaluated
+// direction (kept as reverse-dependency lists in exact mode) do not make a
+// pair live.
+TEST(ActiveSetConstantPairs, PinnedSingleDirectionMatchesLookupPath) {
+  FSimConfig config = RoleSimFSimConfig(0.15);  // w_in = 0
+  config.pin_diagonal = true;
+  config.theta = 1.0;
+  config.label_sim = LabelSimKind::kJaroWinkler;
+  config.epsilon = 1e-6;
+  ExpectConstantPairsSkipped(SmallAmazon(), config, "pinned w_in=0");
+}
+
+// Upper-bound pruning with α > 0: a pair whose spans hold only tagged
+// (pruned-bound) refs reads constants, so it is constant itself.
+TEST(ActiveSetConstantPairs, PrunedOnlyRefsMatchLookupPath) {
+  FSimConfig config = SmallAmazonConfig(SimVariant::kSimple, 0.4);
+  config.upper_bound = true;
+  config.alpha = 0.3;
+  config.beta = 0.5;
+  LabelSimilarityCache lsim(*SmallAmazon().dict(), config.label_sim);
+  auto store = PairStore::Build(SmallAmazon(), SmallAmazon(), config, lsim);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(store->has_neighbor_index());
+  ASSERT_GT(store->info().pruned, 0u);
+  // Some constant pair has refs, all of them tagged.
+  const auto live = store->LivePairs();
+  size_t pruned_only = 0;
+  for (size_t i = 0; i < store->size(); ++i) {
+    if (store->RefSpanTotal(i) > 0 &&
+        !std::binary_search(live.begin(), live.end(),
+                            static_cast<uint32_t>(i))) {
+      ++pruned_only;
+    }
+  }
+  EXPECT_GT(pruned_only, 0u);
+  ExpectConstantPairsSkipped(SmallAmazon(), config, "pruned alpha=0.3");
+}
+
+// ComputeTopKPairs runs the same driver: its certified pairs, scores and
+// sweep count match the lookup path's.
+TEST(ActiveSetConstantPairs, TopKPairsMatchLookupPath) {
+  FSimConfig config = SmallAmazonConfig(SimVariant::kSimple, 1.0);
+  TopKPairsOptions options;
+  options.k = 20;
+  options.exclude_diagonal = true;
+  config.neighbor_index_budget_bytes = 0;
+  auto lookup = ComputeTopKPairs(SmallAmazon(), SmallAmazon(), config,
+                                 options);
+  ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+  config.neighbor_index_budget_bytes = 1ULL << 30;
+  for (ActiveSetMode mode : {ActiveSetMode::kOff, ActiveSetMode::kExact}) {
+    config.active_set = mode;
+    auto indexed = ComputeTopKPairs(SmallAmazon(), SmallAmazon(), config,
+                                    options);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    EXPECT_EQ(indexed->iterations, lookup->iterations);
+    EXPECT_EQ(indexed->certified, lookup->certified);
+    ASSERT_EQ(indexed->pairs.size(), lookup->pairs.size());
+    for (size_t i = 0; i < lookup->pairs.size(); ++i) {
+      EXPECT_EQ(indexed->pairs[i].u, lookup->pairs[i].u) << i;
+      EXPECT_EQ(indexed->pairs[i].v, lookup->pairs[i].v) << i;
+      EXPECT_EQ(indexed->pairs[i].score, lookup->pairs[i].score) << i;
     }
   }
 }

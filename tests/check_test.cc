@@ -6,6 +6,7 @@
 // validator reports it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -37,6 +38,9 @@ struct PairStoreTestAccess {
     return s.nbr_refs_packed_;
   }
   static bool Packed(const PairStore& s) { return s.packed_refs_; }
+  static std::vector<uint32_t>& LivePairs(PairStore& s) {
+    return s.live_pairs_;
+  }
 };
 
 struct DynamicGraphTestAccess {
@@ -336,6 +340,43 @@ TEST(ValidateNeighborIndexTest, CatchesUnsortedSpan) {
   const Status st = store->ValidateNeighborIndex();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("sorted"), std::string::npos);
+}
+
+TEST(ValidateNeighborIndexTest, CatchesWrongLivePairs) {
+  auto store = BuildSmallStore();
+  ASSERT_TRUE(store.ok());
+  auto& live = PairStoreTestAccess::LivePairs(*store);
+  ASSERT_FALSE(live.empty());
+  ASSERT_LT(live.size(), store->size()) << "test graph has no constant pair";
+  const std::vector<uint32_t> saved = live;
+
+  // A live pair left out.
+  live.erase(live.begin());
+  Status st = store->ValidateNeighborIndex();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("omits"), std::string::npos);
+
+  // A constant pair listed.
+  live = saved;
+  uint32_t constant = 0;
+  while (std::binary_search(live.begin(), live.end(), constant)) ++constant;
+  live.insert(std::lower_bound(live.begin(), live.end(), constant), constant);
+  st = store->ValidateNeighborIndex();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("reads no maintained score"),
+            std::string::npos);
+
+  // A pair listed twice, and two entries out of order.
+  live = saved;
+  live.push_back(live.back());
+  EXPECT_FALSE(store->ValidateNeighborIndex().ok());
+  live = saved;
+  if (live.size() >= 2) {
+    std::swap(live[0], live[1]);
+    EXPECT_FALSE(store->ValidateNeighborIndex().ok());
+  }
+  live = saved;
+  EXPECT_TRUE(store->ValidateNeighborIndex().ok());
 }
 
 // ------------------------------------- IncrementalNeighborIndex corruption --
